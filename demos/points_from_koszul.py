@@ -30,7 +30,7 @@ print("saturated ideal of the zero locus:")
 for g in run.gorenstein.gens:
     print(f"  {g}")
 
-report = verify_construction(run.gorenstein, spec)
+report = verify_construction(run.gorenstein, run.twist_data())
 print(f"degree: {report.hilbert.degree} (predicted {report.chern.expected_degree})")
 print(f"h-vector: {report.hilbert.second_series}")
 print("computed Betti table / predicted shape:")

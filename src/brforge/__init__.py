@@ -4,13 +4,12 @@ arithmetically Gorenstein subschemes as kernel sections, with Gorenstein
 liaison on top.
 """
 
-from .ring import DEGREVLEX, Monomial, PrimeField, Rng
+from .ring import PrimeField, Rng
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .ideals import (
     ConstructionError,
     Ideal,
     affine_dimension,
-    groebner_basis,
     ideal_intersection,
     ideal_product,
     ideal_quotient,
@@ -58,8 +57,6 @@ from .construct import (
     check_expected_codim,
     combine_columns,
     construction_matrix,
-    gorenstein_from_kernel_section,
-    is_good_position,
     kernel_section_run,
     minors_ideal,
     pfaffian,
@@ -88,8 +85,6 @@ from .io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEGREVLEX",
-    "Monomial",
     "PrimeField",
     "Rng",
     "FreeModuleElement",
@@ -98,7 +93,6 @@ __all__ = [
     "ConstructionError",
     "Ideal",
     "affine_dimension",
-    "groebner_basis",
     "ideal_intersection",
     "ideal_product",
     "ideal_quotient",
@@ -138,8 +132,6 @@ __all__ = [
     "check_expected_codim",
     "combine_columns",
     "construction_matrix",
-    "gorenstein_from_kernel_section",
-    "is_good_position",
     "kernel_section_run",
     "minors_ideal",
     "pfaffian",

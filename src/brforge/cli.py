@@ -166,7 +166,8 @@ def _cmd_br(args) -> int:
     rng = Rng(args.seed)
     run = kernel_section_run(ring, spec, rng, matrix=matrix, log=log)
     rep = hilbert_report(run.gorenstein)
-    chern = chern_coefficients(spec.twist_data())
+    twists = run.twist_data()
+    chern = chern_coefficients(twists)
     _print_hilbert_blocks(rep)
     summary = {
         "command": "br",
@@ -191,7 +192,7 @@ def _cmd_br(args) -> int:
     if args.verify:
         from .construct import verify_construction
 
-        report = verify_construction(run.gorenstein, spec, log=log)
+        report = verify_construction(run.gorenstein, twists, log=log)
         summary["verification"] = report.as_dict()
     if out is not None:
         write_matrix(out / "matrix.mat", run.matrix)

@@ -42,11 +42,9 @@ __all__ = [
     "pfaffian",
     "pfaffian_ideal",
     "check_expected_codim",
-    "is_good_position",
     "combine_columns",
     "section",
     "kernel_section_run",
-    "gorenstein_from_kernel_section",
     "verify_construction",
 ]
 
@@ -78,8 +76,10 @@ class ConstructionSpec:
     def section_twist(self) -> int:
         return self.section_degree + self.t * self.entry_degree
 
-    def twist_data(self) -> TwistSpec:
-        D = self.section_twist
+    def twist_data(self, section_twist: Optional[int] = None) -> TwistSpec:
+        """Twist data of the kernel sheaf and of a section at module twist
+        section_twist (default: the requested one)."""
+        D = self.section_twist if section_twist is None else section_twist
         return TwistSpec(
             a=(D - self.entry_degree,) * (self.t + self.r), b=(D,) * self.t, n=self.n
         )
@@ -223,62 +223,6 @@ def check_expected_codim(M: GradedMatrix, t: int, r: int, *, log=None) -> bool:
     return codim == r + 1
 
 
-def is_good_position(M: GradedMatrix, t: int, r: int, rng: Rng, *, trials: int = 2, log=None) -> bool:
-    """Check the stronger genericity: after a random row change, deleting a
-    row leaves (t-1)-minors of codimension r + 2.  Vacuous for t = 1."""
-    if not check_expected_codim(M, t, r, log=log):
-        return False
-    if t == 1:
-        return True
-    ring = M.ring
-    p = ring.p
-    for _ in range(trials):
-        U = None
-        for _ in range(5):
-            cand = [[rng.below(p) for _ in range(t)] for _ in range(t)]
-            if _invertible(cand, p):
-                U = cand
-                break
-        if U is None:
-            return False
-        transformed = []
-        for i in range(t):
-            row = []
-            for j in range(M.cols):
-                acc = ring.zero
-                for k in range(t):
-                    if U[i][k]:
-                        acc = acc + M.entries[k][j].scale(U[i][k])
-                row.append(acc)
-            transformed.append(row)
-        sub = GradedMatrix(ring, transformed[:-1], M.row_twists[:-1], M.col_twists)
-        I = minors_ideal(sub, t - 1)
-        if I.is_zero():
-            return False
-        codim = ring.nvars - affine_dimension(I)
-        if log:
-            log(f"deleted-row minors cut codimension {codim} (expected {r + 2})")
-        if codim != r + 2:
-            return False
-    return True
-
-
-def _invertible(mat: list[list[int]], p: int) -> bool:
-    m = [row[:] for row in mat]
-    size = len(m)
-    for c in range(size):
-        piv = next((i for i in range(c, size) if m[i][c] % p), None)
-        if piv is None:
-            return False
-        m[c], m[piv] = m[piv], m[c]
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, size):
-            f = m[i][c] * inv % p
-            if f:
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return True
-
-
 @dataclass(frozen=True)
 class SectionResult:
     """A random section: the combined module element, its module twist, the
@@ -294,14 +238,19 @@ class SectionResult:
     top: Optional[Ideal] = None
 
 
+_DRAWS = 64
+
+
 def combine_columns(M: GradedMatrix, degree: int, rng: Rng, *, log=None) -> SectionResult:
     """Random combination of the columns of M with sparse coefficient forms
     at the given uniform module twist; columns too large to contribute get
-    zero coefficients.  An all-zero draw is retried up to five times."""
+    zero coefficients.  An all-zero draw is retried, up to _DRAWS draws in
+    all: a sparse form of degree 0 is zero with probability 1/2, so a cap of
+    five draws gave up about once in 32 runs."""
     if M.cols == 0:
         raise ConstructionError("no columns to combine")
     ring = M.ring
-    for attempt in range(5):
+    for attempt in range(_DRAWS):
         coeffs = []
         for ct in M.col_twists:
             rel = degree - ct
@@ -316,7 +265,7 @@ def combine_columns(M: GradedMatrix, degree: int, rng: Rng, *, log=None) -> Sect
                 coefficients=tuple(coeffs),
                 ideal=Ideal(ring, vec.entries),
             )
-    raise ConstructionError(f"sections of degree {degree} all vanished after 5 draws")
+    raise ConstructionError(f"sections of degree {degree} all vanished after {_DRAWS} draws")
 
 
 def section(M: GradedMatrix, d: int, rng: Rng, *, log=None) -> SectionResult:
@@ -352,6 +301,11 @@ class KernelSectionRun:
     section_degree: int
     escalations: int
     gorenstein: Ideal
+
+    def twist_data(self) -> TwistSpec:
+        """Twist data of the section actually drawn, after any escalation;
+        every prediction about this run is made from it."""
+        return self.spec.twist_data(self.section_degree)
 
 
 def kernel_section_run(
@@ -419,10 +373,6 @@ def kernel_section_run(
     raise ConstructionError(f"no regular section found: {last_error}")
 
 
-def gorenstein_from_kernel_section(ring: PolyRing, spec: ConstructionSpec, rng: Rng, *, log=None) -> Ideal:
-    return kernel_section_run(ring, spec, rng, log=log).gorenstein
-
-
 @dataclass(frozen=True)
 class ConstructionReport:
     """Predicted against computed invariants of a constructed ideal."""
@@ -463,14 +413,14 @@ class ConstructionReport:
 
 def verify_construction(
     I: Ideal,
-    spec: ConstructionSpec,
+    twists: TwistSpec,
     *,
     resolution: Optional[Resolution] = None,
     log=None,
 ) -> ConstructionReport:
     """Compare the constructed ideal's invariants against the predictions
-    carried by the twist data alone."""
-    twists = spec.twist_data()
+    carried by the twist data alone (KernelSectionRun.twist_data for a
+    constructed ideal)."""
     chern = chern_coefficients(twists)
     shape = expected_resolution(twists)
     rep = hilbert_report(I)

@@ -1,10 +1,17 @@
 """Heap-driven Buchberger engine on dict-backed module vectors.
 
-A vector in a free module R^m is a dict {(component, exponent tuple): coeff}
-with coefficients canonical in [1, p).  The same representation doubles as
-the tracking space for cofactor / syzygy bookkeeping, so one reducer serves
-Groebner bases, normal forms, syzygy generation, and the value-tracked
-intersection and quotient constructions.
+A vector in a free module R^m is a dict {term: coeff} with coefficients
+canonical in [1, p).  A term is one int (see ring):
+
+    term = key(e) - comp,   key(e) = R * (deg(e) * B**(MAX_N + 1) - sum_i e_i * B**i)
+
+so the integer order is term over position degrevlex with the lower
+component winning ties, and shifting a term by a monomial adds its key.
+Exponents and degrees stay at most ring.MAX_DEGREE and components below
+ring.MAX_RANK.  The same representation doubles as the tracking space for
+cofactor / syzygy bookkeeping, so one reducer serves Groebner bases, normal
+forms, syzygy generation, and the value-tracked intersection and quotient
+constructions.
 
 All inputs are assumed homogeneous (asserted at the public boundaries, not
 per operation), which makes pair selection by degree the normal strategy and
@@ -16,7 +23,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional, Sequence
 
-from .ring import TermOverPosition, negkey_exps
+from .ring import MAX_DEGREE, MAX_RANK, key_component, key_degree, key_divides, key_lcm
 
 __all__ = [
     "Vec",
@@ -24,18 +31,17 @@ __all__ = [
     "vec_scale",
     "ModuleGB",
     "minimal_generating_subset",
+    "tracked_intersection",
     "tracked_syzygies",
 ]
 
-Vec = dict  # {(comp, exps): coeff}
-
-_TOP = TermOverPosition()
+Vec = dict  # {term: coeff}
 
 
 def vec_degree(vec: Vec, twists: Sequence[int]) -> int:
     """Degree of a nonzero homogeneous vector (twists = component degrees)."""
-    comp, exps = next(iter(vec))
-    return sum(exps) + twists[comp]
+    t = next(iter(vec))
+    return key_degree(t) + twists[key_component(t)]
 
 
 def vec_scale(vec: Vec, c: int, p: int) -> Vec:
@@ -46,13 +52,13 @@ def vec_scale(vec: Vec, c: int, p: int) -> Vec:
 
 
 class _Elt:
-    __slots__ = ("vec", "track", "comp", "exps")
+    __slots__ = ("vec", "track", "comp", "lead")
 
-    def __init__(self, vec: Vec, track: Optional[Vec], comp: int, exps: tuple):
+    def __init__(self, vec: Vec, track: Optional[Vec], lead: int):
         self.vec = vec
         self.track = track
-        self.comp = comp
-        self.exps = exps
+        self.comp = key_component(lead)
+        self.lead = lead
 
 
 class ModuleGB:
@@ -86,16 +92,16 @@ class ModuleGB:
         p: int,
         twists: Sequence[int],
         *,
-        order=None,
         track: bool = False,
         use_product: bool = False,
         use_chain: bool = False,
     ):
-        if use_product and len(tuple(twists)) > 1:
-            raise ValueError("product criterion is unsound above rank one")
-        self.p = p
         self.twists = tuple(twists)
-        self.order = order if order is not None else _TOP
+        if use_product and len(self.twists) > 1:
+            raise ValueError("product criterion is unsound above rank one")
+        if len(self.twists) > MAX_RANK:
+            raise ValueError(f"rank above {MAX_RANK}")
+        self.p = p
         self.track = track
         self.elts: list[_Elt] = []
         self.by_comp: dict[int, list[_Elt]] = {}
@@ -111,9 +117,8 @@ class ModuleGB:
         """Add a nonzero column (monic-scaled internally) and queue its pairs."""
         if not vec:
             raise ValueError("cannot add the zero vector")
-        negkey = self.order.negkey
-        comp, exps = min(vec, key=lambda k: negkey(k[0], k[1]))
-        lc = vec[(comp, exps)]
+        lead = max(vec)
+        lc = vec[lead]
         if lc != 1:
             inv = pow(lc, -1, self.p)
             vec = vec_scale(vec, inv, self.p)
@@ -121,7 +126,7 @@ class ModuleGB:
                 value = vec_scale(value, inv, self.p)
         if self.track and value is None:
             value = {}
-        self._append(_Elt(vec, value, comp, exps), block)
+        self._append(_Elt(vec, value, lead), block)
 
     def _append(self, elt: _Elt, block: int) -> None:
         m = len(self.elts)
@@ -132,70 +137,63 @@ class ModuleGB:
                 continue
             if block >= 0 and self.block[i] == block:
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(other.exps, elt.exps))
-            d = sum(lcm) + self.twists[elt.comp]
-            heappush(self.pairs, (d, i, m))
+            d = key_degree(key_lcm(other.lead, elt.lead))
+            if d > MAX_DEGREE:
+                raise ValueError(f"S-pair degree exceeds {MAX_DEGREE}")
+            heappush(self.pairs, (d + self.twists[elt.comp], i, m))
         self.by_comp.setdefault(elt.comp, []).append(elt)
 
     # ---- reduction ----------------------------------------------------
 
-    def _find_reducer(self, comp: int, exps: tuple, skip: Optional[_Elt] = None):
-        for g in self.by_comp.get(comp, ()):
-            if g is skip:
-                continue
-            ge = g.exps
-            for a, b in zip(ge, exps):
-                if a > b:
-                    break
-            else:
+    def _find_reducer(self, t: int, skip: Optional[_Elt] = None):
+        for g in self.by_comp.get(key_component(t), ()):
+            if g is not skip and key_divides(g.lead, t):
                 return g
         return None
 
     def _reduce(self, vec: Vec, value: Optional[Vec], skip: Optional[_Elt] = None):
         """Full normal form of vec (destructive); value carried along."""
         p = self.p
-        negkey = self.order.negkey
-        heap = [(negkey(c, e), c, e) for (c, e) in vec]
+        # a min-heap of negated terms pops the largest term first
+        heap = [-t for t in vec]
         heapify(heap)
         out: Vec = {}
         while heap:
-            _, c, e = heappop(heap)
-            coeff = vec.pop((c, e), 0)
+            t = -heappop(heap)
+            coeff = vec.pop(t, 0)
             if not coeff:
                 continue
-            red = self._find_reducer(c, e, skip)
+            red = self._find_reducer(t, skip)
             if red is None:
-                out[(c, e)] = coeff
+                out[t] = coeff
                 continue
-            shift = tuple(a - b for a, b in zip(e, red.exps))
-            self._axpy_heap(vec, heap, coeff, shift, red.vec, (c, e))
+            shift = t - red.lead
+            self._axpy_heap(vec, heap, coeff, shift, red.vec, t)
             # the vector just lost coeff * x^shift * red.vec, so the tracked
             # combination must lose the same multiple of red's combination
             if value is not None and red.track:
                 _axpy(value, p - coeff, shift, red.track, p)
         return out, value
 
-    def _axpy_heap(self, vec: Vec, heap: list, factor: int, shift: tuple, src: Vec, skip_key) -> None:
-        """vec -= factor * x^shift * src, pushing newly created keys."""
+    def _axpy_heap(self, vec: Vec, heap: list, factor: int, shift: int, src: Vec, skip: int) -> None:
+        """vec -= factor * x^shift * src, pushing newly created terms."""
         p = self.p
-        negkey = self.order.negkey
-        trivial = not any(shift)
-        for (rc, re), rcc in src.items():
-            key = (rc, re) if trivial else (rc, tuple(a + b for a, b in zip(re, shift)))
-            if key == skip_key:
+        for rt, rc in src.items():
+            t = rt + shift
+            if t == skip:
                 continue
-            old = vec.get(key)
+            old = vec.get(t)
             if old is None:
-                nv = (-factor * rcc) % p
+                nv = (-factor * rc) % p
                 if nv:
-                    vec[key] = nv
-                    heappush(heap, (negkey(key[0], key[1]), key[0], key[1]))
+                    vec[t] = nv
+                    heappush(heap, -t)
             else:
-                nv = (old - factor * rcc) % p
+                nv = (old - factor * rc) % p
                 if nv:
-                    vec[key] = nv
+                    vec[t] = nv
                 else:
-                    del vec[key]
+                    del vec[t]
 
     def normal_form(self, vec: Vec) -> Vec:
         """Normal form of a vector against the current basis (non-destructive)."""
@@ -208,24 +206,24 @@ class ModuleGB:
         d, i, j = heappop(self.pairs)
         gi = self.elts[i]
         gj = self.elts[j]
-        lcm = tuple(max(a, b) for a, b in zip(gi.exps, gj.exps))
-        if self.use_product and all(min(a, b) == 0 for a, b in zip(gi.exps, gj.exps)):
+        lcm = key_lcm(gi.lead, gj.lead)
+        # rank one: coprime leads are those whose lcm is their product
+        if self.use_product and lcm == gi.lead + gj.lead:
             return
         if self.use_chain:
             for gk in self.by_comp.get(gi.comp, ()):
                 if gk is gi or gk is gj:
                     continue
-                ke = gk.exps
-                if all(a <= b for a, b in zip(ke, lcm)):
-                    lik = tuple(max(a, b) for a, b in zip(gi.exps, ke))
-                    ljk = tuple(max(a, b) for a, b in zip(gj.exps, ke))
+                if key_divides(gk.lead, lcm):
+                    lik = key_lcm(gi.lead, gk.lead)
+                    ljk = key_lcm(gj.lead, gk.lead)
                     # both sub-pairs lie in strictly smaller degree, hence
                     # were already processed: safe to drop this pair
                     if lik != lcm and ljk != lcm:
                         return
         p = self.p
-        si = tuple(a - b for a, b in zip(lcm, gi.exps))
-        sj = tuple(a - b for a, b in zip(lcm, gj.exps))
+        si = lcm - gi.lead
+        sj = lcm - gj.lead
         svec: Vec = {}
         _axpy(svec, p - 1, si, gi.vec, p)
         _axpy(svec, 1, sj, gj.vec, p)
@@ -239,15 +237,14 @@ class ModuleGB:
             if self.track and remval:
                 self.emitted.append(remval)
             return
-        negkey = self.order.negkey
-        comp, exps = min(rem, key=lambda k: negkey(k[0], k[1]))
-        lc = rem[(comp, exps)]
+        lead = max(rem)
+        lc = rem[lead]
         if lc != 1:
             inv = pow(lc, -1, p)
             rem = vec_scale(rem, inv, p)
             if remval is not None:
                 remval = vec_scale(remval, inv, p)
-        self._append(_Elt(rem, remval, comp, exps), -1)
+        self._append(_Elt(rem, remval, lead), -1)
 
     def complete_to(self, degree: int) -> None:
         """Process every queued pair of S-degree <= degree."""
@@ -268,20 +265,12 @@ class ModuleGB:
         monic, sorted ascending in the module order."""
         if self.pairs:
             raise ValueError("complete() the basis first")
-        negkey = self.order.negkey
-        order_idx = sorted(
-            range(len(self.elts)), key=lambda i: negkey(self.elts[i].comp, self.elts[i].exps)
-        )
+        order_idx = sorted(range(len(self.elts)), key=lambda i: -self.elts[i].lead)
         order_idx.reverse()  # ascending monomial order
         kept: list[_Elt] = []
         for i in order_idx:
             g = self.elts[i]
-            dominated = False
-            for h in kept:
-                if h.comp == g.comp and all(a <= b for a, b in zip(h.exps, g.exps)):
-                    dominated = True
-                    break
-            if not dominated:
+            if not any(key_divides(h.lead, g.lead) for h in kept):
                 kept.append(g)
         # tail reduction against the final minimal set
         saved_by_comp = self.by_comp
@@ -296,21 +285,20 @@ class ModuleGB:
         return out
 
 
-def _axpy(vec: Vec, factor: int, shift: tuple, src: Optional[Vec], p: int) -> None:
+def _axpy(vec: Vec, factor: int, shift: int, src: Optional[Vec], p: int) -> None:
     """vec += factor * x^shift * src   (in place, zero entries dropped)."""
     if not src:
         return
     factor %= p
     if factor == 0:
         return
-    trivial = not any(shift)
-    for (rc, re), rcc in src.items():
-        key = (rc, re) if trivial else (rc, tuple(a + b for a, b in zip(re, shift)))
-        nv = (vec.get(key, 0) + factor * rcc) % p
+    for rt, rc in src.items():
+        t = rt + shift
+        nv = (vec.get(t, 0) + factor * rc) % p
         if nv:
-            vec[key] = nv
+            vec[t] = nv
         else:
-            vec.pop(key, None)
+            vec.pop(t, None)
 
 
 def minimal_generating_subset(
@@ -338,13 +326,33 @@ def minimal_generating_subset(
     return kept
 
 
+def tracked_intersection(
+    first: Sequence[Vec], second: Sequence[Vec], p: int, twists: Sequence[int]
+) -> list[Vec]:
+    """Generators, not yet pruned, of (span of first) meet (span of second).
+
+    first and second must each be a Groebner basis.  One tracked pass seeds
+    them as blocks 0 and 1, tracking each first vector as its own value and
+    each second vector as zero; every relation between the two blocks then
+    emits its first part, which lies in both spans, and together these
+    generate the intersection.  Chain criterion only: the product criterion
+    would silently drop cross Koszul syzygies, whose values are honest
+    intersection elements.
+    """
+    gb = ModuleGB(p, twists, track=True, use_chain=True)
+    for v in first:
+        gb.add(dict(v), dict(v), block=0)
+    for v in second:
+        gb.add(dict(v), {}, block=1)
+    gb.complete()
+    return gb.emitted
+
+
 def tracked_syzygies(
     columns: Sequence[Vec],
     p: int,
     ambient_twists: Sequence[int],
-    nvars: int,
     *,
-    order=None,
     log: Optional[Callable[[str], None]] = None,
 ) -> list[Vec]:
     """Generators of the syzygy module of the given columns.
@@ -354,17 +362,17 @@ def tracked_syzygies(
     columns these generate all relations.  The result is pruned to a minimal
     generating set, sorted ascending by degree.
     """
-    zero_exps = (0,) * nvars
+    # the unit vector e_idx of the tracking space is the term -idx
     col_degrees = []
-    gb = ModuleGB(p, ambient_twists, order=order, track=True, use_chain=True)
+    gb = ModuleGB(p, ambient_twists, track=True, use_chain=True)
     syz: list[Vec] = []
     for idx, col in enumerate(columns):
         if not col:
             col_degrees.append(0)
-            syz.append({(idx, zero_exps): 1})
+            syz.append({-idx: 1})
             continue
         col_degrees.append(vec_degree(col, ambient_twists))
-        gb.add(dict(col), {(idx, zero_exps): 1})
+        gb.add(dict(col), {-idx: 1})
     gb.complete()
     syz.extend(gb.emitted)
     if log:

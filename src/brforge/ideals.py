@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence
 
-from .engine import ModuleGB, Vec, minimal_generating_subset, vec_degree
+from .engine import ModuleGB, Vec, minimal_generating_subset, tracked_intersection
 from .poly import Polynomial, PolyRing
 from .ring import Rng
 
 __all__ = [
     "ConstructionError",
     "Ideal",
-    "groebner_basis",
     "normal_form",
     "ideal_quotient",
     "ideal_intersection",
@@ -34,11 +33,13 @@ class ConstructionError(RuntimeError):
 
 
 def poly_to_vec(f: Polynomial, comp: int = 0) -> Vec:
-    return {(comp, m.exps): c for m, c in f.terms}
+    """f placed in component comp of a free module."""
+    return {k - comp: c for k, c in f.terms}
 
 
 def vec_to_poly(ring: PolyRing, vec: Vec) -> Polynomial:
-    return ring.from_dict({exps: c for (_, exps), c in vec.items()})
+    """The polynomial of a component-0 vector."""
+    return Polynomial(ring, tuple(sorted(vec.items(), reverse=True)))
 
 
 class Ideal:
@@ -100,7 +101,7 @@ class Ideal:
         return self.groebner() == other.groebner()
 
     def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g.leading_monomial().exps for g in self.groebner())
+        return tuple(self.ring.exponents(g.terms[0][0]) for g in self.groebner())
 
     def affine_dimension(self) -> int:
         if self._dim is None:
@@ -118,10 +119,6 @@ class Ideal:
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.gens)} gens over {self.ring!r})"
-
-
-def groebner_basis(I: Ideal) -> tuple[Polynomial, ...]:
-    return I.groebner()
 
 
 def normal_form(f: Polynomial, G: Ideal | Sequence[Polynomial]) -> Polynomial:
@@ -162,15 +159,12 @@ def _seeded_quotient(
     twists = tuple(maxdeg - g.degree() for g in targets)
     gb = ModuleGB(p, twists, track=True, use_chain=True, use_product=(m == 1))
     for f in I.groebner():
-        fv = poly_to_vec(f)
         for comp in range(m):
-            gb.add({(comp, exps): c for (_, exps), c in fv.items()}, {}, block=comp)
+            gb.add(poly_to_vec(f, comp), {}, block=comp)
     target_vec = {}
     for comp, g in enumerate(targets):
-        for mm, c in g.terms:
-            target_vec[(comp, mm.exps)] = c
-    one = {(0, (0,) * ring.nvars): 1}
-    gb.add(target_vec, one)
+        target_vec.update(poly_to_vec(g, comp))
+    gb.add(target_vec, {0: 1})  # tracks the scalar cofactor 1 of the targets
     gb.complete()
     if log:
         log(f"quotient pass emitted {len(gb.emitted)} candidates")
@@ -196,25 +190,21 @@ def ideal_quotient(I: Ideal, J: Ideal | Polynomial, *, log=None) -> Ideal:
 
 
 def ideal_intersection(I: Ideal, J: Ideal, *, log=None) -> Ideal:
-    """Elements lying in both ideals, via a tracked pass seeded with both
-    bases; the tracked value of each zero reduction is its I-part.  Chain
-    criterion only: the product criterion would silently drop cross Koszul
-    syzygies, whose values are honest intersection elements."""
+    """Elements lying in both ideals, from a tracked intersection pass
+    seeded with both reduced bases."""
     if I.ring != J.ring:
         raise ValueError("mixed rings")
     ring = I.ring
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
-    gb = ModuleGB(ring.p, (0,), track=True, use_chain=True)
-    for f in I.groebner():
-        v = poly_to_vec(f)
-        gb.add(dict(v), dict(v), block=0)
-    for g in J.groebner():
-        gb.add(poly_to_vec(g), {}, block=1)
-    gb.complete()
+    vals = tracked_intersection(
+        [poly_to_vec(f) for f in I.groebner()],
+        [poly_to_vec(g) for g in J.groebner()],
+        ring.p,
+        (0,),
+    )
     if log:
-        log(f"intersection pass emitted {len(gb.emitted)} candidates")
-    vals = [v for v in gb.emitted if v]
+        log(f"intersection pass emitted {len(vals)} candidates")
     keep = minimal_generating_subset(vals, ring.p, (0,))
     return Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
 

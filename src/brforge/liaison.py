@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .chern import ExpectedShape, GenBRSpec, expected_resolution_aci
-from .engine import ModuleGB, minimal_generating_subset, vec_degree
+from .engine import ModuleGB, minimal_generating_subset, tracked_intersection, vec_degree
 from .hilbert import HilbertReport, hilbert_report
 from .ideals import (
     ConstructionError,
@@ -51,9 +51,8 @@ __all__ = [
 def module_intersection(B: GradedMatrix, C: GradedMatrix, *, log=None) -> GradedMatrix:
     """Generators of (column span of B) meet (column span of C), as columns.
 
-    Both bases are completed separately, then a tracked pass over their
-    union records the B-part of every relation between them; the emitted
-    values are exactly the intersection, pruned to minimal generators.
+    Both bases are completed separately, then a tracked intersection pass
+    over them yields the intersection, pruned to minimal generators.
     """
     if B.ring != C.ring or B.row_twists != C.row_twists:
         raise ValueError("modules live in different ambient frames")
@@ -73,13 +72,7 @@ def module_intersection(B: GradedMatrix, C: GradedMatrix, *, log=None) -> Graded
     basis_c = completed(C)
     if not basis_b or not basis_c:
         return GradedMatrix.from_columns(ring, twists, [], [])
-    joint = ModuleGB(p, twists, track=True, use_chain=True)
-    for v in basis_b:
-        joint.add(dict(v), dict(v), block=0)
-    for v in basis_c:
-        joint.add(dict(v), {}, block=1)
-    joint.complete()
-    vals = [v for v in joint.emitted if v]
+    vals = tracked_intersection(basis_b, basis_c, p, twists)
     if log:
         log(f"module intersection emitted {len(vals)} candidates")
     keep = minimal_generating_subset(vals, p, twists)
@@ -97,8 +90,8 @@ def common_section(
     """A random section of the kernel of phi whose entries vanish on V.
 
     Intersects the kernel with I_V times the ambient free module and
-    combines columns in degree d above the smallest available; if every
-    draw at a degree vanishes, the degree is raised, twice at most.
+    combines columns in degree d above the smallest available.  A column
+    sits at that smallest twist, so a nonzero section exists there.
     """
     ring = phi.ring
     B = syzygy_matrix(phi, log=log)
@@ -107,9 +100,8 @@ def common_section(
     cvecs = []
     cdegs = []
     for g in IV.gens:
-        gv = poly_to_vec(g)
         for comp, tw in enumerate(phi.col_twists):
-            cvecs.append({(comp, exps): c for (_, exps), c in gv.items()})
+            cvecs.append(poly_to_vec(g, comp))
             cdegs.append(g.degree() + tw)
     C = GradedMatrix.from_columns(ring, phi.col_twists, cvecs, cdegs)
     D = module_intersection(B, C, log=log)
@@ -117,19 +109,12 @@ def common_section(
         raise ConstructionError("kernel meets the subscheme module only in zero")
     if log:
         log(f"common sections exist from degree {min(D.col_twists)}")
-    last: Optional[ConstructionError] = None
-    for bump in range(3):
-        try:
-            sec = combine_columns(D, min(D.col_twists) + d + bump, rng, log=log)
-        except ConstructionError as exc:
-            last = exc
-            continue
-        for e in sec.vector.entries:
-            if not IV.contains(e):
-                raise AssertionError("section entry escaped the subscheme ideal")
-        r = phi.cols - phi.rows
-        return replace(sec, regular=sec.ideal.affine_dimension() == ring.nvars - r)
-    raise ConstructionError(f"no nonzero common section found: {last}")
+    sec = combine_columns(D, min(D.col_twists) + d, rng, log=log)
+    for e in sec.vector.entries:
+        if not IV.contains(e):
+            raise AssertionError("section entry escaped the subscheme ideal")
+    r = phi.cols - phi.rows
+    return replace(sec, regular=sec.ideal.affine_dimension() == ring.nvars - r)
 
 
 @dataclass(frozen=True)
@@ -262,7 +247,7 @@ def generalized_br_run(
     sec: Optional[SectionResult] = None
     for _ in range(5):
         cand = combine_columns(B, d, rng, log=log)
-        if affine_dim_of(cand.ideal) == ring.nvars - 3:
+        if cand.ideal.affine_dimension() == ring.nvars - 3:
             sec = replace(cand, regular=True)
             break
         if log:
@@ -304,10 +289,6 @@ def generalized_br_run(
         shape=shape,
         ghost_cancellations=ghosts,
     )
-
-
-def affine_dim_of(I: Ideal) -> int:
-    return I.affine_dimension()
 
 
 def _random_complete_intersection(

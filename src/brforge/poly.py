@@ -1,18 +1,21 @@
 """Graded polynomials over GF(p) in variables z0..zn under degrevlex.
 
-A Polynomial stores its terms as a tuple of (Monomial, coeff) pairs sorted
-descending in the ring order, coefficients canonical in [1, p).  Instances
-are immutable; all arithmetic returns fresh objects.  Construction goes
-through a PolyRing, which also owns parsing, printing, and random draws.
+A Polynomial stores its terms as a tuple of (key, coeff) pairs, the keys
+packed monomials from ring.monomial_key, sorted descending (the integer
+order is the ring order), coefficients canonical in [1, p).  Exponents and
+total degrees are at most ring.MAX_DEGREE.  Instances are immutable; all
+arithmetic returns fresh objects.  Construction goes through a PolyRing,
+which also owns parsing, printing, and random draws.
 """
 
 from __future__ import annotations
 
 import re
 from functools import reduce
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations_with_replacement
+from typing import Mapping, Sequence
 
-from .ring import MAX_N, Monomial, PrimeField, Rng, negkey_exps
+from .ring import MAX_DEGREE, MAX_N, PrimeField, Rng, key_degree, key_exponents, monomial_key
 
 __all__ = ["PolyRing", "Polynomial", "FreeModuleElement"]
 
@@ -30,12 +33,11 @@ class PolyRing:
         self.field = PrimeField(p)
         self.n = n
         self.nvars = n + 1
-        self._mon_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._mon_cache: dict[int, tuple[int, ...]] = {}
         self.zero = Polynomial(self, ())
-        self.one = self.term(Monomial((0,) * self.nvars), 1)
+        self.one = Polynomial(self, ((0, 1),))
         self._vars = tuple(
-            self.term(Monomial(tuple(1 if j == i else 0 for j in range(self.nvars))), 1)
-            for i in range(self.nvars)
+            Polynomial(self, ((monomial_key((0,) * i + (1,)), 1),)) for i in range(self.nvars)
         )
 
     @property
@@ -61,66 +63,63 @@ class PolyRing:
         c = self.field.normalize(c)
         if c == 0:
             return self.zero
-        return self.term(Monomial((0,) * self.nvars), c)
+        return Polynomial(self, ((0, c),))
 
-    def term(self, m: Monomial, c: int) -> "Polynomial":
-        c = self.field.normalize(c)
-        if c == 0:
-            return self.zero
-        if len(m.exps) != self.nvars:
-            raise ValueError("monomial has the wrong number of variables")
-        return Polynomial(self, ((m, c),))
+    def exponents(self, key: int) -> tuple[int, ...]:
+        """Exponent tuple (z0..zn) of a key."""
+        return key_exponents(key, self.nvars)
+
+    def from_terms(self, acc: Mapping[int, int]) -> "Polynomial":
+        """Build a polynomial from {key: coefficient}, any integer coefficients."""
+        p = self.p
+        terms = [(k, c % p) for k, c in acc.items() if c % p]
+        terms.sort(reverse=True)
+        return Polynomial(self, tuple(terms))
 
     def from_dict(self, d: Mapping[tuple[int, ...], int]) -> "Polynomial":
         """Build a polynomial from {exponent tuple: coefficient}."""
-        terms = []
+        acc: dict[int, int] = {}
         for exps, c in d.items():
-            c %= self.p
-            if c:
-                terms.append((Monomial(exps), c))
-        terms.sort(key=lambda t: negkey_exps(t[0].exps))
-        return Polynomial(self, tuple(terms))
+            if len(exps) != self.nvars:
+                raise ValueError(f"{tuple(exps)} needs {self.nvars} exponents")
+            acc[monomial_key(exps)] = c
+        return self.from_terms(acc)
 
-    def exponents_of_degree(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """All exponent tuples of total degree d, descending in the ring order."""
+    def _keys_of_degree(self, d: int) -> tuple[int, ...]:
+        """Keys of all monomials of degree d, descending in the ring order."""
         if d < 0:
             return ()
         cached = self._mon_cache.get(d)
         if cached is None:
-            out: list[tuple[int, ...]] = []
-
-            def rec(prefix: list[int], remaining: int, pos: int) -> None:
-                if pos == self.nvars - 1:
-                    out.append(tuple(prefix + [remaining]))
-                    return
-                for e in range(remaining, -1, -1):
-                    rec(prefix + [e], remaining - e, pos + 1)
-
-            rec([], d, 0)
-            out.sort(key=negkey_exps)
-            cached = tuple(out)
+            combos = combinations_with_replacement(range(self.nvars), d)
+            keys = [monomial_key([c.count(v) for v in range(self.nvars)]) for c in combos]
+            cached = tuple(sorted(keys, reverse=True))
             self._mon_cache[d] = cached
         return cached
+
+    def exponents_of_degree(self, d: int) -> tuple[tuple[int, ...], ...]:
+        """All exponent tuples of total degree d, descending in the ring order."""
+        return tuple(self.exponents(k) for k in self._keys_of_degree(d))
 
     def random_form(self, d: int, rng: Rng) -> "Polynomial":
         """Form of degree d with an independent uniform coefficient (0 allowed)
         drawn for every monomial, in descending ring order."""
-        acc: dict[tuple[int, ...], int] = {}
-        for exps in self.exponents_of_degree(d):
+        terms = []
+        for k in self._keys_of_degree(d):
             c = rng.below(self.p)
             if c:
-                acc[exps] = c
-        return self.from_dict(acc)
+                terms.append((k, c))
+        return Polynomial(self, tuple(terms))
 
     def sparse_form(self, d: int, rng: Rng) -> "Polynomial":
         """Form of degree d where each monomial, taken in descending ring
         order, is kept with probability 1/2 (one bit drawn) and, if kept,
         receives a uniform nonzero coefficient (one draw below p-1)."""
-        acc: dict[tuple[int, ...], int] = {}
-        for exps in self.exponents_of_degree(d):
+        terms = []
+        for k in self._keys_of_degree(d):
             if rng.bit():
-                acc[exps] = 1 + rng.below(self.p - 1)
-        return self.from_dict(acc)
+                terms.append((k, 1 + rng.below(self.p - 1)))
+        return Polynomial(self, tuple(terms))
 
     # ---- parsing and printing ----------------------------------------
 
@@ -208,11 +207,11 @@ class PolyRing:
             return "0"
         field = self.field
         parts: list[str] = []
-        for idx, (m, c) in enumerate(f.terms):
+        for idx, (k, c) in enumerate(f.terms):
             cs = field.symmetric(c)
             mag = abs(cs)
             factors = []
-            for v, e in enumerate(m.exps):
+            for v, e in enumerate(self.exponents(k)):
                 if e == 1:
                     factors.append(f"z{v}")
                 elif e > 1:
@@ -235,17 +234,12 @@ class Polynomial:
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: PolyRing, terms: tuple[tuple[Monomial, int], ...]):
+    def __init__(self, ring: PolyRing, terms: tuple[tuple[int, int], ...]):
         self.ring = ring
         self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
 
     def leading_coefficient(self) -> int:
         if not self.terms:
@@ -253,56 +247,55 @@ class Polynomial:
         return self.terms[0][1]
 
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial.  The order is graded,
+        so the leading term has the largest degree."""
         if not self.terms:
             return -1
-        return max(m.degree for m, _ in self.terms)
+        return key_degree(self.terms[0][0])
 
     def is_homogeneous(self) -> tuple[bool, int | None]:
         """(True, d) for a nonzero form of degree d; (True, None) for zero,
         meaning any degree; (False, None) otherwise."""
         if not self.terms:
             return (True, None)
-        d = self.terms[0][0].degree
-        for m, _ in self.terms[1:]:
-            if m.degree != d:
-                return (False, None)
+        d = key_degree(self.terms[0][0])
+        if key_degree(self.terms[-1][0]) != d:
+            return (False, None)
         return (True, d)
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
-        return {m.exps: c for m, c in self.terms}
+        return {self.ring.exponents(k): c for k, c in self.terms}
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        acc = self.as_dict()
-        for m, c in other.terms:
-            k = m.exps
+        acc = dict(self.terms)
+        for k, c in other.terms:
             acc[k] = acc.get(k, 0) + c
-        return self.ring.from_dict(acc)
+        return self.ring.from_terms(acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        acc = self.as_dict()
-        for m, c in other.terms:
-            k = m.exps
+        acc = dict(self.terms)
+        for k, c in other.terms:
             acc[k] = acc.get(k, 0) - c
-        return self.ring.from_dict(acc)
+        return self.ring.from_terms(acc)
 
     def __neg__(self) -> "Polynomial":
         p = self.ring.p
-        return Polynomial(self.ring, tuple((m, p - c) for m, c in self.terms))
+        return Polynomial(self.ring, tuple((k, p - c) for k, c in self.terms))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         if not self.terms or not other.terms:
             return self.ring.zero
-        acc: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.terms:
-            e1 = m1.exps
-            for m2, c2 in other.terms:
-                k = tuple(a + b for a, b in zip(e1, m2.exps))
+        if self.degree() + other.degree() > MAX_DEGREE:
+            raise ValueError(f"product degree exceeds {MAX_DEGREE}")
+        acc: dict[int, int] = {}
+        for k1, c1 in self.terms:
+            for k2, c2 in other.terms:
+                k = k1 + k2
                 acc[k] = acc.get(k, 0) + c1 * c2
-        return self.ring.from_dict(acc)
+        return self.ring.from_terms(acc)
 
     def scale(self, c: int) -> "Polynomial":
         c = self.ring.field.normalize(c)
@@ -311,21 +304,7 @@ class Polynomial:
         if c == 1:
             return self
         p = self.ring.p
-        return Polynomial(self.ring, tuple((m, cc * c % p) for m, cc in self.terms))
-
-    def mul_term(self, m: Monomial, c: int) -> "Polynomial":
-        c = self.ring.field.normalize(c)
-        if c == 0:
-            return self.ring.zero
-        p = self.ring.p
-        e = m.exps
-        return Polynomial(
-            self.ring,
-            tuple(
-                (Monomial(tuple(a + b for a, b in zip(mm.exps, e))), cc * c % p)
-                for mm, cc in self.terms
-            ),
-        )
+        return Polynomial(self.ring, tuple((k, cc * c % p) for k, cc in self.terms))
 
     def monic(self) -> "Polynomial":
         if not self.terms:
@@ -411,6 +390,3 @@ class FreeModuleElement:
         inner = ", ".join(self.ring.format(e) for e in self.entries)
         return f"FreeModuleElement[{inner}]"
 
-
-def polynomials_equal_sets(a: Iterable[Polynomial], b: Iterable[Polynomial]) -> bool:
-    return sorted(repr(x) for x in a) == sorted(repr(x) for x in b)

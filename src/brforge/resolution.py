@@ -16,6 +16,7 @@ from .engine import Vec, minimal_generating_subset, tracked_syzygies, vec_degree
 from .hilbert import hilbert_report
 from .ideals import Ideal, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
+from .ring import key_component
 
 __all__ = [
     "GradedMatrix",
@@ -82,9 +83,7 @@ class GradedMatrix:
     def column_vec(self, j: int) -> Vec:
         out: Vec = {}
         for i in range(self.rows):
-            e = self.entries[i][j]
-            for m, c in e.terms:
-                out[(i, m.exps)] = c
+            out.update(poly_to_vec(self.entries[i][j], i))
         return out
 
     def columns(self) -> list[Vec]:
@@ -101,11 +100,12 @@ class GradedMatrix:
         rows = len(row_twists)
         grid = [[ring.zero] * len(columns) for _ in range(rows)]
         for j, col in enumerate(columns):
-            per_row: dict[int, dict] = {}
-            for (comp, exps), c in col.items():
-                per_row.setdefault(comp, {})[exps] = c
-            for comp, d in per_row.items():
-                grid[comp][j] = ring.from_dict(d)
+            per_row: dict[int, Vec] = {}
+            for t, c in col.items():
+                comp = key_component(t)
+                per_row.setdefault(comp, {})[t + comp] = c
+            for comp, v in per_row.items():
+                grid[comp][j] = vec_to_poly(ring, v)
         return cls(ring, grid, row_twists, col_twists)
 
     def compose(self, other: "GradedMatrix") -> "GradedMatrix":
@@ -311,7 +311,7 @@ class Resolution:
 def syzygy_matrix(M: GradedMatrix, *, log=None) -> GradedMatrix:
     """Minimal generators of the column syzygies, as a graded matrix."""
     ring = M.ring
-    syz = tracked_syzygies(M.columns(), ring.p, M.row_twists, ring.nvars, log=log)
+    syz = tracked_syzygies(M.columns(), ring.p, M.row_twists, log=log)
     degs = [vec_degree(s, M.col_twists) for s in syz]
     return GradedMatrix.from_columns(ring, M.col_twists, syz, degs)
 
@@ -335,7 +335,7 @@ def free_resolution(
     twists: list[list[int]] = [list(cur_twists)]
     matrices: list[GradedMatrix] = []
     while True:
-        syz = tracked_syzygies(cols, ring.p, ambient, ring.nvars, log=log)
+        syz = tracked_syzygies(cols, ring.p, ambient, log=log)
         if not syz:
             break
         degs = [vec_degree(s, cur_twists) for s in syz]

@@ -1,30 +1,59 @@
-"""Prime fields, exponent-vector monomials, monomial orders, and a seeded RNG.
+"""Prime fields, packed monomial keys, and a seeded RNG.
 
-Everything downstream manipulates dense exponent tuples over a small fixed
-variable set, so the primitives here stay deliberately dumb: tuples, ints,
-and flat comparison keys that plug straight into heapq.
+A monomial z0^e0 * ... * zn^en and a module term m*e_comp are each one
+Python int, so multiplying by a monomial is adding ints and comparing terms
+is comparing ints:
+
+    key(e)          = R * (deg(e) * B**(MAX_N + 1) - sum_i e_i * B**i)
+    term(comp, e)   = key(e) - comp
+
+with B = 2**EXP_BITS and R = 2**COMP_BITS = MAX_RANK.  Every variable up to
+z_MAX_N owns one field of EXP_BITS bits whatever the ring, so a key means
+the same in every ring and the engine needs no ring to read it.  Integer
+order is degrevlex (higher degree first, then the smaller exponent on the
+last differing variable), and on module terms it is term over position with
+the lower component winning ties; key(1) = 0.  A polynomial's keys are its
+component-0 terms.
+
+The top bit of each field is a guard bit that exponents never reach, so an
+exponent is at most MAX_DEGREE = B/2 - 1 = 2047, and so is a total degree
+(ValueError beyond it): one subtraction then tells divisibility by which
+guard bits survive.  Exponent
+tuples are decoded only where text, tuples or exponent data cross the
+boundary of the program.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "MAX_N",
+    "MAX_DEGREE",
+    "MAX_RANK",
     "PrimeField",
     "Rng",
-    "Monomial",
-    "negkey_exps",
-    "sortkey_exps",
-    "DegRevLex",
-    "DEGREVLEX",
-    "TermOverPosition",
-    "SchreyerOrder",
-    "compare",
+    "monomial_key",
+    "key_degree",
+    "key_component",
+    "key_exponents",
+    "key_divides",
+    "key_lcm",
 ]
 
-# Variables are z0..zn; dense exponent tuples stay cheap only while n is small.
+# Variables are z0..zn with n at most MAX_N.
 MAX_N = 16
+
+EXP_BITS = 12
+COMP_BITS = 16
+_FIELDS = MAX_N + 1
+_B = 1 << EXP_BITS
+MAX_DEGREE = (_B >> 1) - 1
+MAX_RANK = 1 << COMP_BITS
+_COMP_MASK = MAX_RANK - 1
+_DEG_SHIFT = COMP_BITS + EXP_BITS * _FIELDS
+_GUARD = sum(1 << (COMP_BITS + EXP_BITS * i + EXP_BITS - 1) for i in range(_FIELDS))
+_DIV_MASK = _GUARD | _COMP_MASK
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,20 +101,6 @@ class PrimeField:
 
     def normalize(self, c: int) -> int:
         return c % self.p
-
-    def add(self, a: int, b: int) -> int:
-        s = a + b
-        return s - self.p if s >= self.p else s
-
-    def sub(self, a: int, b: int) -> int:
-        d = a - b
-        return d + self.p if d < 0 else d
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return self.p - a if a else 0
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -142,119 +157,59 @@ class Rng:
         return self.next64() & 1
 
 
-class Monomial:
-    """Dense exponent vector with cached total degree."""
-
-    __slots__ = ("exps", "degree")
-
-    def __init__(self, exps: Iterable[int]):
-        e = tuple(exps)
-        if any(x < 0 for x in e):
-            raise ValueError(f"negative exponent in {e}")
-        self.exps = e
-        self.degree = sum(e)
-
-    def is_one(self) -> bool:
-        return self.degree == 0
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self.exps, other.exps))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """self / other; requires other | self."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(a - b for a, b in zip(self.exps, other.exps))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self.exps, other.exps))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and other.exps == self.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
-
-    def __repr__(self) -> str:
-        return f"Monomial{self.exps}"
+def monomial_key(exps: Sequence[int]) -> int:
+    """Key of the monomial with these exponents (z0 first)."""
+    if len(exps) > _FIELDS:
+        raise ValueError(f"more than {_FIELDS} variables: {tuple(exps)}")
+    deg = 0
+    packed = 0
+    for i, e in enumerate(exps):
+        if e < 0:
+            raise ValueError(f"negative exponent in {tuple(exps)}")
+        deg += e
+        packed |= e << (EXP_BITS * i)
+    if deg > MAX_DEGREE:
+        raise ValueError(f"degree {deg} of {tuple(exps)} exceeds {MAX_DEGREE}")
+    return ((deg << (EXP_BITS * _FIELDS)) - packed) << COMP_BITS
 
 
-def negkey_exps(exps: Sequence[int]) -> tuple:
-    """Flat key whose MINIMUM is the degrevlex-largest monomial.
-
-    Degrevlex: higher degree wins; on equal degree the monomial with the
-    smaller exponent on the last differing variable (scanning from the last
-    variable) wins.  Reversing the tuple makes plain lexicographic comparison
-    of (-deg, e_n, ..., e_0) do exactly that, which is what heapq wants.
-    """
-    return (-sum(exps), *reversed(exps))
+def key_degree(t: int) -> int:
+    """Total degree of the monomial of a key or term."""
+    return -((-t) >> _DEG_SHIFT)
 
 
-def sortkey_exps(exps: Sequence[int]) -> tuple:
-    """Flat key that sorts ascending in degrevlex (largest monomial = largest key)."""
-    return (sum(exps), *(-e for e in reversed(exps)))
+def key_component(t: int) -> int:
+    """Component of a term; 0 for a plain key."""
+    return -t & _COMP_MASK
 
 
-class DegRevLex:
-    """Degree reverse lexicographic order on ring monomials."""
-
-    kind = "degrevlex"
-
-    @staticmethod
-    def compare(a_exps: Sequence[int], b_exps: Sequence[int]) -> int:
-        ka = sortkey_exps(a_exps)
-        kb = sortkey_exps(b_exps)
-        return (ka > kb) - (ka < kb)
-
-    def __repr__(self) -> str:
-        return "DegRevLex"
+def _fields(t: int) -> int:
+    """R * sum_i e_i * B**i + comp: the exponent fields above the component."""
+    return (key_degree(t) << _DEG_SHIFT) - t
 
 
-DEGREVLEX = DegRevLex()
+def key_exponents(t: int, nvars: int) -> tuple[int, ...]:
+    """Exponents of z0..z(nvars-1) in the monomial of a key or term."""
+    packed = _fields(t) >> COMP_BITS
+    mask = _B - 1
+    return tuple((packed >> (EXP_BITS * i)) & mask for i in range(nvars))
 
 
-class TermOverPosition:
-    """Module order: compare monomial parts by degrevlex, break ties by
-    component with the LOWER component index winning."""
-
-    kind = "top"
-
-    @staticmethod
-    def negkey(comp: int, exps: Sequence[int]) -> tuple:
-        return (negkey_exps(exps), comp)
-
-    def __repr__(self) -> str:
-        return "TermOverPosition"
+def key_divides(a: int, b: int) -> bool:
+    """True when term a divides term b: same component, and no exponent of
+    a exceeds b's, so every guard bit survives b's fields minus a's."""
+    return (a - b + _GUARD) & _DIV_MASK == _GUARD
 
 
-class SchreyerOrder:
-    """Order induced by a list of ambient leading terms, one per component.
-
-    m*e_j vs m'*e_k compare as m*lead(j) vs m'*lead(k) in the ambient order
-    (term over position), with ties broken by the smaller component index.
-    """
-
-    kind = "schreyer"
-    __slots__ = ("leads",)
-
-    def __init__(self, leads: Sequence[tuple[int, tuple[int, ...]]]):
-        # leads[j] = (ambient component, ambient exponent tuple) of column j's lead
-        self.leads = tuple(leads)
-
-    def negkey(self, comp: int, exps: Sequence[int]) -> tuple:
-        lead_comp, lead_exps = self.leads[comp]
-        prod = tuple(a + b for a, b in zip(exps, lead_exps))
-        return (negkey_exps(prod), lead_comp, comp)
-
-    def __repr__(self) -> str:
-        return f"SchreyerOrder({len(self.leads)} columns)"
-
-
-def compare(a: Monomial, b: Monomial, order: DegRevLex = DEGREVLEX) -> int:
-    """Three-way comparison of two monomials under the given ring order."""
-    if len(a.exps) != len(b.exps):
-        raise ValueError("monomials live in different variable counts")
-    return order.compare(a.exps, b.exps)
+def key_lcm(a: int, b: int) -> int:
+    """Least common multiple of two terms of the same component."""
+    fa = _fields(a)
+    fb = _fields(b)
+    # a guard bit survives where a's exponent is at least b's; spread each
+    # surviving guard bit over its whole field
+    wider = (((fa - fb + _GUARD) & _GUARD) >> (EXP_BITS - 1)) * (_B - 1)
+    f = (fa & wider) | (fb & ~wider)
+    # B = 1 (mod B - 1), so the fields sum to their value mod B - 1; the sum
+    # is at most 2 * MAX_DEGREE < B - 1
+    deg = (f >> COMP_BITS) % (_B - 1)
+    return (deg << _DEG_SHIFT) - f

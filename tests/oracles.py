@@ -11,6 +11,56 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+from brforge.ring import key_component, key_exponents, monomial_key
+
+
+def term(comp: int, exps: Sequence[int]) -> int:
+    """The engine's packed term for the monomial with these exponents in
+    component comp."""
+    return monomial_key(exps) - comp
+
+
+def split_term(t: int, nvars: int) -> tuple[int, tuple[int, ...]]:
+    """(component, exponent tuple) of a packed term."""
+    return key_component(t), key_exponents(t, nvars)
+
+
+def split_vec(vec: dict, nvars: int) -> dict:
+    """A module vector keyed by (component, exponent tuple)."""
+    return {split_term(t, nvars): c for t, c in vec.items()}
+
+
+def join_vec(vec: dict) -> dict:
+    """A module vector keyed by packed terms."""
+    return {term(c, e): v for (c, e), v in vec.items()}
+
+
+def s_vector(a: dict, b: dict, p: int, nvars: int):
+    """S-vector of two monic module vectors under term over position, or
+    None when their leads sit in different components.  The leads and the
+    lcm are worked out on exponent tuples, apart from the engine's keys."""
+    a, b = split_vec(a, nvars), split_vec(b, nvars)
+
+    def order(k):  # term over position: degrevlex, then the lower component
+        comp, e = k
+        return sum(e), tuple(-x for x in reversed(e)), -comp
+
+    ca, ea = max(a, key=order)
+    cb, eb = max(b, key=order)
+    if ca != cb:
+        return None
+    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
+    sa = tuple(l - x for l, x in zip(lcm, ea))
+    sb = tuple(l - x for l, x in zip(lcm, eb))
+    out = {}
+    for (c, e), v in a.items():
+        key = (c, _add_exps(e, sa))
+        out[key] = (out.get(key, 0) + v) % p
+    for (c, e), v in b.items():
+        key = (c, _add_exps(e, sb))
+        out[key] = (out.get(key, 0) - v) % p
+    return join_vec({k: v for k, v in out.items() if v})
+
 
 def monomial_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree (stars and bars)."""

@@ -4,8 +4,8 @@ suites.
 Arithmetic is exact over GF(p), so every numeric comparison below is an
 equality, and the wall-clock bounds are the generous budgets the scenarios
 were sized for.  test_03 resolves three projective-six constructions and
-dominates the runtime at roughly five minutes per seed; everything else
-finishes in seconds.
+dominates the runtime at about a minute per seed on a 2-core machine;
+everything else finishes in seconds.
 """
 
 import contextlib
@@ -28,7 +28,7 @@ from brforge.io import read_ideal, read_matrix
 from brforge.liaison import generalized_br_run, gorenstein_link
 from brforge.poly import PolyRing
 from brforge.resolution import free_resolution, gorenstein_certificate
-from brforge.ring import Rng, TermOverPosition
+from brforge.ring import Rng
 
 import oracles
 from conftest import fixture, random_ideal, random_monomial_ideal
@@ -75,7 +75,7 @@ def test_03_linear_kernel_sections_on_p6():
         t0 = time.monotonic()
         spec = ConstructionSpec(1, 5, 1, 2, 6, seed=seed)
         run = kernel_section_run(ring, spec, Rng(seed))
-        report = verify_construction(run.gorenstein, spec)
+        report = verify_construction(run.gorenstein, run.twist_data())
         assert report.hilbert.degree == 21, seed
         assert report.hilbert.second_series == (1, 5, 9, 5, 1), seed
         assert report.hilbert.codimension == 5, seed
@@ -185,27 +185,6 @@ def test_09_generalized_section_over_linked_base():
 # ------------------------------------------------------- property suites
 
 
-def _svector(a, b, p):
-    """S-vector of two module vectors under term-over-position, or None
-    when the leads sit in different components."""
-    negkey = TermOverPosition().negkey
-    ca, ea = min(a, key=lambda k: negkey(k[0], k[1]))
-    cb, eb = min(b, key=lambda k: negkey(k[0], k[1]))
-    if ca != cb:
-        return None
-    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
-    sa = tuple(l - x for l, x in zip(lcm, ea))
-    sb = tuple(l - x for l, x in zip(lcm, eb))
-    out = {}
-    for (c, e), v in a.items():
-        key = (c, tuple(x + y for x, y in zip(e, sa)))
-        out[key] = (out.get(key, 0) + v) % p
-    for (c, e), v in b.items():
-        key = (c, tuple(x + y for x, y in zip(e, sb)))
-        out[key] = (out.get(key, 0) - v) % p
-    return {k: v for k, v in out.items() if v}
-
-
 def _strip(coeffs):
     out = list(coeffs)
     while out and out[-1] == 0:
@@ -247,7 +226,7 @@ def test_10a_s_vectors_of_completed_bases_reduce_to_zero():
         basis = gb.basis()
         for i in range(len(basis)):
             for j in range(i):
-                svec = _svector(basis[i], basis[j], 32003)
+                svec = oracles.s_vector(basis[i], basis[j], 32003, ring.nvars)
                 if svec is not None:
                     assert not gb.normal_form(svec), (s, i, j)
                     pairs += 1
@@ -314,7 +293,7 @@ def test_10e_successful_constructions_embed_in_predicted_shape():
             run = kernel_section_run(P3, spec, Rng(s))
         except ConstructionError:
             continue
-        report = verify_construction(run.gorenstein, spec)
+        report = verify_construction(run.gorenstein, run.twist_data())
         assert report.betti_embeds, s
         successes += 1
     assert successes >= 100

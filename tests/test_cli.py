@@ -325,6 +325,27 @@ class TestBr:
         assert (out_dir / "section.id").exists()
 
 
+    def test_predictions_follow_an_escalated_twist(self, capsys):
+        # seed 1 escalates the section from twist 4 to 5; the predictions
+        # must describe the twist actually used
+        argv = [
+            "br", "--t", "1", "--r", "3", "--entry-deg", "2",
+            "--sec-deg", "2", "--n", "4", "--seed", "1", "--verify",
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        s = summary_of(out)
+        assert s["escalations"] == 1
+        assert s["section_twist"] == 5
+        assert s["predicted_degree"] == 13
+        assert s["degree"] == 13
+        assert s["degree_matches"] is True
+        v = s["verification"]
+        assert v["predicted_degree"] == 13
+        assert v["degree_matches"] is True
+        assert v["ok"] is True
+
+
 class TestEnvironmentCharacteristic:
     def test_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("FORGE_CHAR", "23")

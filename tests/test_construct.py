@@ -10,8 +10,6 @@ from brforge.construct import (
     ConstructionSpec,
     check_expected_codim,
     combine_columns,
-    construction_matrix,
-    is_good_position,
     kernel_section_run,
     minors_ideal,
     pfaffian,
@@ -172,21 +170,14 @@ class TestPfaffian:
             pfaffian_ideal(ok)
 
 
-class TestCodimAndPosition:
-    def test_standard_but_not_good(self, ring3):
+class TestExpectedCodim:
+    def test_standard_matrix(self):
         M = read_matrix(fixture("standard_det_2x4.mat"))
         assert check_expected_codim(M, 2, 2)
-        assert not is_good_position(M, 2, 2, Rng(5))
 
-    def test_generic_matrix_is_good(self, ring3):
-        rng = Rng(7)
-        M = construction_matrix(ring3, ConstructionSpec(2, 2, 1, 1, 3), rng)
-        assert is_good_position(M, 2, 2, rng)
-
-    def test_row_check_vacuous_for_one_row(self, ring3):
+    def test_koszul_row(self):
         M = read_matrix(fixture("koszul_p3.mat"))
         assert check_expected_codim(M, 1, 3)
-        assert is_good_position(M, 1, 3, Rng(5))
 
 
 class TestSection:
@@ -221,7 +212,7 @@ class TestKernelSectionRun:
             spec = ConstructionSpec(1, 3, 1, 2, 3, seed=seed)
             run = kernel_section_run(ring3, spec, Rng(seed))
             assert run.section.regular
-            report = verify_construction(run.gorenstein, spec)
+            report = verify_construction(run.gorenstein, run.twist_data())
             assert report.hilbert.degree == 5
             assert tuple(report.hilbert.second_series) == (1, 3, 1)
             assert report.betti.as_dict() == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
@@ -266,7 +257,7 @@ class TestKernelSectionRun:
 class TestVerifyConstruction:
     def test_saved_five_points(self, ring3):
         I = read_ideal(fixture("points5.id"))
-        report = verify_construction(I, ConstructionSpec(1, 3, 1, 2, 3))
+        report = verify_construction(I, ConstructionSpec(1, 3, 1, 2, 3).twist_data())
         assert report.ok
         assert report.degree_matches
         assert report.betti_matches

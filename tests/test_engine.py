@@ -8,18 +8,19 @@ engine cannot hide behind itself.
 import pytest
 
 from brforge.engine import ModuleGB, minimal_generating_subset, tracked_syzygies, vec_degree
-from brforge.ideals import Ideal, poly_to_vec
+from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
 from brforge.poly import PolyRing
 from brforge.ring import Rng
 
 import oracles
+from oracles import term
 
 
-def apply_combination(comb, columns, p):
+def apply_combination(comb, columns, p, nvars):
     """sum over (idx, exps) of c * x^exps * columns[idx], as a plain dict."""
     acc = {}
-    for (idx, exps), c in comb.items():
-        for (rc, re), v in columns[idx].items():
+    for (idx, exps), c in oracles.split_vec(comb, nvars).items():
+        for (rc, re), v in oracles.split_vec(columns[idx], nvars).items():
             key = (rc, tuple(a + b for a, b in zip(re, exps)))
             nv = (acc.get(key, 0) + c * v) % p
             if nv:
@@ -47,7 +48,7 @@ class TestCompletion:
         basis = gb.basis()
         for i in range(len(basis)):
             for j in range(i):
-                s = _svector(basis[i], basis[j], 32003)
+                s = oracles.s_vector(basis[i], basis[j], 32003, ring3.nvars)
                 if s is not None:
                     assert not gb.normal_form(s)
 
@@ -75,38 +76,15 @@ class TestCompletion:
             ModuleGB(32003, (0, 0), use_product=True)
 
 
-def _svector(a, b, p):
-    """S-vector of two monic module vectors under term-over-position, or
-    None for different components."""
-    from brforge.ring import TermOverPosition
-
-    negkey = TermOverPosition().negkey
-    ca, ea = min(a, key=lambda k: negkey(k[0], k[1]))
-    cb, eb = min(b, key=lambda k: negkey(k[0], k[1]))
-    if ca != cb:
-        return None
-    lcm = tuple(max(x, y) for x, y in zip(ea, eb))
-    sa = tuple(l - x for l, x in zip(lcm, ea))
-    sb = tuple(l - x for l, x in zip(lcm, eb))
-    out = {}
-    for (c, e), v in a.items():
-        key = (c, tuple(x + y for x, y in zip(e, sa)))
-        out[key] = (out.get(key, 0) + v) % p
-    for (c, e), v in b.items():
-        key = (c, tuple(x + y for x, y in zip(e, sb)))
-        out[key] = (out.get(key, 0) - v) % p
-    return {k: v for k, v in out.items() if v}
-
-
 class TestTrackedSyzygies:
     def test_koszul_relations_of_variables(self, ring3):
         columns = [poly_to_vec(v) for v in ring3.variables()]
-        syz = tracked_syzygies(columns, 32003, (0,), ring3.nvars)
+        syz = tracked_syzygies(columns, 32003, (0,))
         assert len(syz) == 6
         degrees = [vec_degree(s, [1, 1, 1, 1]) for s in syz]
         assert degrees == [2] * 6
         for s in syz:
-            assert apply_combination(s, columns, 32003) == {}
+            assert apply_combination(s, columns, 32003, ring3.nvars) == {}
 
     def test_exactness_on_random_columns(self, ring2):
         rng = Rng(17)
@@ -118,25 +96,24 @@ class TestTrackedSyzygies:
                 while f.is_zero():
                     f = ring2.random_form(1, rng)
                 cols.append(poly_to_vec(f))
-            syz = tracked_syzygies(cols, p, (0,), ring2.nvars)
+            syz = tracked_syzygies(cols, p, (0,))
             assert syz, "three forms in two variables always have relations"
             for s in syz:
-                assert apply_combination(s, cols, p) == {}
+                assert apply_combination(s, cols, p, ring2.nvars) == {}
 
     def test_zero_column_gets_unit_syzygy(self, ring3):
         cols = [poly_to_vec(ring3.variable(0)), {}]
-        syz = tracked_syzygies(cols, 32003, (0,), ring3.nvars)
-        zero = (0,) * ring3.nvars
-        assert {(1, zero): 1} in syz
+        syz = tracked_syzygies(cols, 32003, (0,))
+        assert {term(1, (0, 0, 0, 0)): 1} in syz
 
     def test_rank_two_syzygies(self, ring3):
         # columns of the map with matrix rows (z0, z1) and (z2, z3):
         # relations of [(z0, z2), (z1, z3)] in R^2
-        c0 = {(0, (1, 0, 0, 0)): 1, (1, (0, 0, 1, 0)): 1}
-        c1 = {(0, (0, 1, 0, 0)): 1, (1, (0, 0, 0, 1)): 1}
-        syz = tracked_syzygies([c0, c1], 32003, (0, 0), ring3.nvars)
+        c0 = {term(0, (1, 0, 0, 0)): 1, term(1, (0, 0, 1, 0)): 1}
+        c1 = {term(0, (0, 1, 0, 0)): 1, term(1, (0, 0, 0, 1)): 1}
+        syz = tracked_syzygies([c0, c1], 32003, (0, 0))
         for s in syz:
-            assert apply_combination(s, [c0, c1], 32003) == {}
+            assert apply_combination(s, [c0, c1], 32003, ring3.nvars) == {}
 
 
 class TestTrackedValues:
@@ -153,7 +130,7 @@ class TestTrackedValues:
         for val in gb.emitted:
             # the tracked value lives in the ideal of the inputs
             if val:
-                f = _vec_to_poly(ring3, val)
+                f = vec_to_poly(ring3, val)
                 assert oracles.in_ideal(f, polys, ring3.nvars, p)
 
     def test_blocks_suppress_internal_pairs(self, ring3):
@@ -166,10 +143,6 @@ class TestTrackedValues:
         gb.complete()
         # a single block is already a basis: nothing may be emitted
         assert not [v for v in gb.emitted if v]
-
-
-def _vec_to_poly(ring, vec):
-    return ring.from_dict({e: c for (_, e), c in vec.items()})
 
 
 class TestMinimalGeneratingSubset:

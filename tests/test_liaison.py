@@ -61,11 +61,8 @@ class TestModuleIntersection:
         z0, z1 = ring3.variable(0), ring3.variable(1)
         twists = (0, 0)
 
-        def at(comp, f):
-            return {(comp, exps): c for (_, exps), c in poly_to_vec(f).items()}
-
-        bcols = [at(0, z0), at(1, z1)]
-        ccols = [at(0, z1), at(1, z1)]
+        bcols = [poly_to_vec(z0, 0), poly_to_vec(z1, 1)]
+        ccols = [poly_to_vec(z1, 0), poly_to_vec(z1, 1)]
         B = GradedMatrix.from_columns(ring3, twists, bcols, [1, 1])
         C = GradedMatrix.from_columns(ring3, twists, ccols, [1, 1])
         D = module_intersection(B, C)
@@ -98,6 +95,28 @@ class TestCommonSection:
         for e in sec.vector.entries:
             assert IV.contains(e)
         assert all(IV.contains(g) for g in sec.ideal.gens)
+
+    def test_zero_draws_do_not_raise_the_degree(self):
+        # at coefficient degree 0 a draw vanishes with probability 1/2; these
+        # seeds start with five zero draws and must still section at the
+        # lowest twist of the intersection (1 + 2)
+        phi = read_matrix(fixture("linear_row_p5.mat"))
+        IV = read_ideal(fixture("veronese.id"))
+        for seed in (18, 53, 84, 106, 113, 120, 131, 150, 171):
+            assert common_section(phi, IV, 0, Rng(seed)).degree == 3, seed
+
+    def test_seed_five_unchanged(self):
+        phi = read_matrix(fixture("linear_row_p5.mat"))
+        IV = read_ideal(fixture("veronese.id"))
+        sec = common_section(phi, IV, 0, Rng(5))
+        assert sec.degree == 3
+        assert sec.regular
+        assert [str(e) for e in sec.vector.entries] == [
+            "10902*z0*z2 - 10902*z4^2",
+            "-10902*z0*z1 + 10902*z3^2",
+            "-10902*z2*z3 + 10902*z4*z5",
+            "10902*z1*z4 - 10902*z3*z5",
+        ]
 
     def test_kernelless_matrix(self, ring3):
         phi = GradedMatrix(ring3, [[ring3.variable(0)]], (0,), (1,))

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from brforge.poly import PolyRing, Polynomial, polynomials_equal_sets
-from brforge.ring import Monomial, Rng
+from brforge.ring import Rng
 
 
 class TestParseFormat:
@@ -65,11 +64,6 @@ class TestArithmetic:
         assert f.monic().leading_coefficient() == 1
         assert f.monic() == ring3.parse("z0^2+2*z1^2")
 
-    def test_mul_term(self, ring3):
-        f = ring3.parse("z0+z1")
-        g = f.mul_term(Monomial((0, 0, 1, 0)), 5)
-        assert g == ring3.parse("5*z0*z2+5*z1*z2")
-
 
 class TestDegreesAndShapes:
     def test_exponent_counts(self, ring3):
@@ -129,9 +123,3 @@ class TestFreeModuleElement:
         )
         assert not v.is_homogeneous()
 
-
-def test_polynomials_equal_sets(ring3):
-    a = [ring3.parse("z0"), ring3.parse("2*z1")]
-    b = [ring3.parse("2*z1"), ring3.parse("z0")]
-    assert polynomials_equal_sets(a, b)
-    assert not polynomials_equal_sets(a, [ring3.parse("z0")])

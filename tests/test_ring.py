@@ -1,27 +1,40 @@
+from itertools import product
+
 import pytest
 
 from brforge.ring import (
-    DEGREVLEX,
-    Monomial,
+    MAX_DEGREE,
     PrimeField,
     Rng,
-    SchreyerOrder,
-    TermOverPosition,
-    compare,
-    negkey_exps,
-    sortkey_exps,
+    key_component,
+    key_degree,
+    key_divides,
+    key_exponents,
+    key_lcm,
+    monomial_key,
 )
+
+# every monomial of degree <= 4 in 4 variables
+SMALL = [e for e in product(range(5), repeat=4) if sum(e) <= 4]
+
+
+def degrevlex_cmp(a, b):
+    """Reference three-way degrevlex comparison of exponent tuples: higher
+    degree wins; on equal degree the smaller exponent at the last
+    differing variable wins."""
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
 
 
 class TestPrimeField:
     def test_arithmetic(self):
         F = PrimeField(23)
-        assert F.add(20, 5) == 2
-        assert F.sub(3, 7) == 19
-        assert F.mul(6, 4) == 1
-        assert F.neg(0) == 0
-        assert F.neg(5) == 18
-        assert F.mul(7, F.inv(7)) == 1
+        assert F.normalize(-5) == 18
+        assert 7 * F.inv(7) % 23 == 1
 
     def test_symmetric_representative(self):
         F = PrimeField(23)
@@ -69,62 +82,109 @@ class TestRng:
 
 class TestMonomial:
     def test_basic_ops(self):
-        a = Monomial((2, 0, 1))
-        b = Monomial((1, 1, 0))
-        assert a.degree == 3
-        assert a.mul(b).exps == (3, 1, 1)
-        assert a.lcm(b).exps == (2, 1, 1)
-        assert not b.divides(a)
-        assert Monomial((1, 0, 0)).divides(a)
-        assert a.quotient(Monomial((1, 0, 1))).exps == (1, 0, 0)
+        a = monomial_key((2, 0, 1))
+        b = monomial_key((1, 1, 0))
+        assert key_degree(a) == 3
+        assert a + b == monomial_key((3, 1, 1))
+        assert key_lcm(a, b) == monomial_key((2, 1, 1))
+        assert not key_divides(b, a)
+        assert key_divides(monomial_key((1, 0, 0)), a)
+        assert a - monomial_key((1, 0, 1)) == monomial_key((1, 0, 0))
+        assert monomial_key((0, 0, 0)) == 0
 
-    def test_invalid(self):
+    def test_invalid(self, ring3):
         with pytest.raises(ValueError):
-            Monomial((1, -1))
+            monomial_key((1, -1))
         with pytest.raises(ValueError):
-            Monomial((0, 1)).quotient(Monomial((1, 0)))
+            ring3.from_dict({(0, -1, 0, 0): 1})
 
 
-class TestDegRevLex:
+class TestDegrevlexKeys:
     def test_variable_order(self):
         # z0 > z1 > z2
-        assert DEGREVLEX.compare((1, 0, 0), (0, 1, 0)) > 0
-        assert DEGREVLEX.compare((0, 1, 0), (0, 0, 1)) > 0
+        assert monomial_key((1, 0, 0)) > monomial_key((0, 1, 0))
+        assert monomial_key((0, 1, 0)) > monomial_key((0, 0, 1))
 
     def test_degree_dominates(self):
-        assert DEGREVLEX.compare((0, 0, 3), (2, 0, 0)) > 0
+        assert monomial_key((0, 0, 3)) > monomial_key((2, 0, 0))
 
     def test_revlex_tiebreak(self):
         # on equal degree the smaller exponent at the last variable wins:
         # z1^2 > z0*z2
-        assert DEGREVLEX.compare((0, 2, 0), (1, 0, 1)) > 0
+        assert monomial_key((0, 2, 0)) > monomial_key((1, 0, 1))
 
-    def test_keys_agree_with_compare(self):
-        rng = Rng(99)
-        for _ in range(200):
-            a = tuple(rng.below(4) for _ in range(3))
-            b = tuple(rng.below(4) for _ in range(3))
-            c = compare(Monomial(a), Monomial(b))
-            assert (sortkey_exps(a) > sortkey_exps(b)) - (
-                sortkey_exps(a) < sortkey_exps(b)
-            ) == c
-            # negkey flips: the largest monomial has the smallest key
-            assert (negkey_exps(a) < negkey_exps(b)) == (c > 0)
+    def test_matches_reference_comparator(self):
+        for a in SMALL:
+            for b in SMALL:
+                ka, kb = monomial_key(a), monomial_key(b)
+                assert (ka > kb) - (ka < kb) == degrevlex_cmp(a, b), (a, b)
+
+
+class TestPackedKeys:
+    def test_round_trip(self):
+        for e in SMALL:
+            for comp in (0, 1, 7):
+                t = monomial_key(e) - comp
+                assert key_exponents(t, 4) == e
+                assert key_component(t) == comp
+                assert key_degree(t) == sum(e)
+
+    def test_product_adds_keys(self):
+        for a in SMALL:
+            for b in SMALL:
+                prod = tuple(x + y for x, y in zip(a, b))
+                assert monomial_key(a) + monomial_key(b) == monomial_key(prod)
+
+    def test_guard_bit_divisibility(self):
+        for a in SMALL:
+            for b in SMALL:
+                want = all(x <= y for x, y in zip(a, b))
+                ka, kb = monomial_key(a), monomial_key(b)
+                assert key_divides(ka, kb) == want, (a, b)
+                assert key_divides(ka - 3, kb - 3) == want, (a, b)
+                # a term never divides one in another component
+                assert not key_divides(ka - 3, kb - 2)
+
+    def test_lcm(self):
+        for a in SMALL:
+            for b in SMALL:
+                lcm = tuple(max(x, y) for x, y in zip(a, b))
+                assert key_lcm(monomial_key(a) - 2, monomial_key(b) - 2) == monomial_key(lcm) - 2
+
+    def test_extreme_exponents(self):
+        a = monomial_key((MAX_DEGREE, 0, 0))
+        b = monomial_key((0, 0, MAX_DEGREE))
+        assert key_exponents(a, 3) == (MAX_DEGREE, 0, 0)
+        assert key_lcm(a, b) == a + b
+        assert not key_divides(a, b) and not key_divides(b, a)
+
+    def test_out_of_range_raises(self, ring3):
+        with pytest.raises(ValueError):
+            monomial_key((MAX_DEGREE + 1,))
+        with pytest.raises(ValueError):
+            ring3.parse(f"z0^{MAX_DEGREE + 1}")
+        with pytest.raises(ValueError):
+            ring3.parse(f"z1^{MAX_DEGREE}*z2")
+        with pytest.raises(ValueError):
+            ring3.from_dict({(MAX_DEGREE, 1, 0, 0): 1})
+        with pytest.raises(ValueError):
+            ring3.variable(0) ** MAX_DEGREE * ring3.variable(1)
+        # the bound itself is fine, and wraps nothing
+        f = ring3.parse(f"z3^{MAX_DEGREE}")
+        assert f.as_dict() == {(0, 0, 0, MAX_DEGREE): 1}
 
 
 class TestModuleOrders:
     def test_term_over_position(self):
-        top = TermOverPosition()
-        # same monomial: lower component wins (= smaller key)
-        assert top.negkey(0, (1, 0)) < top.negkey(1, (1, 0))
-        # larger monomial beats component index
-        assert top.negkey(5, (2, 0)) < top.negkey(0, (1, 0))
-
-    def test_schreyer(self):
-        # columns with leads z0*e0 and z1*e0: column 0 times z1 and
-        # column 1 times z0 meet at ambient z0*z1; the tie breaks to the
-        # smaller column index
-        order = SchreyerOrder([(0, (1, 0)), (0, (0, 1))])
-        assert order.negkey(0, (0, 1)) < order.negkey(1, (1, 0))
-        # higher ambient product wins regardless of column
-        assert order.negkey(1, (2, 0)) < order.negkey(0, (0, 1))
+        # same monomial: the lower component wins (= larger term)
+        m = monomial_key((1, 0))
+        assert m - 0 > m - 1 > m - 5
+        # a larger monomial beats any component index
+        assert monomial_key((2, 0)) - 5 > monomial_key((1, 0)) - 0
+        for a in SMALL:
+            for b in SMALL:
+                for ca, cb in ((0, 1), (1, 0), (2, 2)):
+                    ta = monomial_key(a) - ca
+                    tb = monomial_key(b) - cb
+                    want = degrevlex_cmp(a, b) or (cb > ca) - (cb < ca)
+                    assert (ta > tb) - (ta < tb) == want
