@@ -9,6 +9,7 @@ from .poly import FreeModuleElement, Polynomial, PolyRing
 from .ideals import (
     ConstructionError,
     Ideal,
+    InvariantError,
     affine_dimension,
     ideal_intersection,
     ideal_product,
@@ -92,6 +93,7 @@ __all__ = [
     "PolyRing",
     "ConstructionError",
     "Ideal",
+    "InvariantError",
     "affine_dimension",
     "ideal_intersection",
     "ideal_product",

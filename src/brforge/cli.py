@@ -8,7 +8,8 @@ Intermediate objects can be persisted with --out DIR in the plain-text
 formats of the io module.
 
 Exit codes: 0 on success, 2 on mathematical failure (codimension or
-regularity checks that a new seed may fix), 1 on usage errors.
+regularity checks that a new seed may fix), 1 on usage errors, 3 when an
+internal invariant breaks (a fault of the program).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .construct import (
     section,
 )
 from .hilbert import HilbertReport, hilbert_report
-from .ideals import ConstructionError, Ideal, saturation, top_dimensional_part
+from .ideals import ConstructionError, Ideal, InvariantError, top_dimensional_part
 from .io import read_ideal, read_matrix, write_ideal, write_matrix
 from .liaison import generalized_br_run, gorenstein_link
 from .poly import PolyRing
@@ -613,6 +614,9 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"forge {args.command}: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"forge {args.command}: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"forge {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -3,14 +3,18 @@
 A vector in a free module R^m is a dict {term: coeff} with coefficients
 canonical in [1, p).  A term is one int (see ring):
 
-    term = key(e) - comp,   key(e) = R * (deg(e) * B**(MAX_N + 1) - sum_i e_i * B**i)
+    term = (key(e) << shift) + unit_comp,   key(e) = R * (deg(e) * B**(MAX_N + 1) - sum_i e_i * B**i)
 
-so the integer order is term over position degrevlex with the lower
-component winning ties, and shifting a term by a monomial adds its key.
-Exponents and degrees stay at most ring.MAX_DEGREE and components below
-ring.MAX_RANK.  The same representation doubles as the tracking space for
-cofactor / syzygy bookkeeping, so one reducer serves Groebner bases, normal
-forms, syzygy generation, and the value-tracked intersection and quotient
+with a per-component offset unit_comp, the term of e_comp.  Shift 0 and
+unit_comp = -comp give term over position degrevlex with the lower
+component winning ties; a Schreyer frame (see ring) gives the order that
+the columns e_comp maps to induce.  Either way shifting a term by a
+monomial adds key(m) << shift.  Exponents and degrees stay at most
+ring.MAX_DEGREE and components below ring.MAX_RANK.
+
+The same representation doubles as the tracking space for cofactor /
+syzygy bookkeeping, so one reducer serves Groebner bases, normal forms,
+syzygy generation, and the value-tracked intersection and quotient
 constructions.
 
 All inputs are assumed homogeneous (asserted at the public boundaries, not
@@ -23,7 +27,15 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional, Sequence
 
-from .ring import MAX_DEGREE, MAX_RANK, key_component, key_degree, key_divides, key_lcm
+from .ring import (
+    MAX_DEGREE,
+    MAX_RANK,
+    divisor_masks,
+    key_component,
+    key_degree,
+    key_divides,
+    key_lcm,
+)
 
 __all__ = [
     "Vec",
@@ -65,7 +77,13 @@ class ModuleGB:
     """Incremental module Groebner basis with optional combination tracking.
 
     twists: ambient component degrees, used only to order the pair queue by
-    true S-vector degree (inputs homogeneous).
+    true S-vector degree (inputs homogeneous): the degree of e_comp minus the
+    degree its term reads, so all zero in a Schreyer frame.
+
+    shift: the shift of the ambient terms (0 for term over position); the
+    engine never needs the units themselves.  value_shift: the shift of the
+    tracked values, so that a monomial multiplier key(m) << shift of a
+    vector becomes key(m) << value_shift on its value.
 
     track=True keeps, for every basis element, a vector in a caller-chosen
     value space such that elt = (linear combination recorded in track) of the
@@ -79,7 +97,8 @@ class ModuleGB:
     Groebner basis among themselves whose internal pair reductions emit only
     zero values; pairs inside one block are skipped.
 
-    The product criterion is only sound for rank-one modules.  Both criteria
+    The product criterion is only sound for rank-one modules, and is
+    allowed in term over position only.  Both criteria
     may run in tracked mode: a chain-dropped pair's syzygy is a monomial
     combination of the two sub-pairs' syzygies, so the emitted set still
     generates; a product-dropped pair loses its Koszul syzygy, whose value
@@ -95,14 +114,19 @@ class ModuleGB:
         track: bool = False,
         use_product: bool = False,
         use_chain: bool = False,
+        shift: int = 0,
+        value_shift: int = 0,
     ):
         self.twists = tuple(twists)
-        if use_product and len(self.twists) > 1:
-            raise ValueError("product criterion is unsound above rank one")
+        if use_product and (len(self.twists) > 1 or shift):
+            raise ValueError("product criterion needs rank one, term over position")
         if len(self.twists) > MAX_RANK:
             raise ValueError(f"rank above {MAX_RANK}")
         self.p = p
         self.track = track
+        self.shift = shift
+        self._lift = value_shift - shift
+        self._guard, self._mask = divisor_masks(shift)
         self.elts: list[_Elt] = []
         self.by_comp: dict[int, list[_Elt]] = {}
         self.pairs: list[tuple[int, int, int]] = []
@@ -128,8 +152,20 @@ class ModuleGB:
             value = {}
         self._append(_Elt(vec, value, lead), block)
 
+    def add_remainder(self, vec: Vec, value: Optional[Vec] = None) -> bool:
+        """Reduce vec (destructively), carrying value along, and add the
+        remainder when it is nonzero; True when it was added.  In tracked
+        mode the remainder's value stays value minus the combinations its
+        reducers carry, so every added column is still accounted for."""
+        rem, value = self._reduce(vec, value)
+        if not rem:
+            return False
+        self.add(rem, value)
+        return True
+
     def _append(self, elt: _Elt, block: int) -> None:
         m = len(self.elts)
+        shift = self.shift
         self.elts.append(elt)
         self.block.append(block)
         for i, other in enumerate(self.elts[:m]):
@@ -137,7 +173,7 @@ class ModuleGB:
                 continue
             if block >= 0 and self.block[i] == block:
                 continue
-            d = key_degree(key_lcm(other.lead, elt.lead))
+            d = key_degree(key_lcm(other.lead, elt.lead, shift), shift)
             if d > MAX_DEGREE:
                 raise ValueError(f"S-pair degree exceeds {MAX_DEGREE}")
             heappush(self.pairs, (d + self.twists[elt.comp], i, m))
@@ -146,14 +182,17 @@ class ModuleGB:
     # ---- reduction ----------------------------------------------------
 
     def _find_reducer(self, t: int, skip: Optional[_Elt] = None):
+        guard = self._guard
+        mask = self._mask
         for g in self.by_comp.get(key_component(t), ()):
-            if g is not skip and key_divides(g.lead, t):
+            if g is not skip and (g.lead - t + guard) & mask == guard:
                 return g
         return None
 
     def _reduce(self, vec: Vec, value: Optional[Vec], skip: Optional[_Elt] = None):
         """Full normal form of vec (destructive); value carried along."""
         p = self.p
+        lift = self._lift
         # a min-heap of negated terms pops the largest term first
         heap = [-t for t in vec]
         heapify(heap)
@@ -172,7 +211,7 @@ class ModuleGB:
             # the vector just lost coeff * x^shift * red.vec, so the tracked
             # combination must lose the same multiple of red's combination
             if value is not None and red.track:
-                _axpy(value, p - coeff, shift, red.track, p)
+                _axpy(value, p - coeff, shift << lift, red.track, p)
         return out, value
 
     def _axpy_heap(self, vec: Vec, heap: list, factor: int, shift: int, src: Vec, skip: int) -> None:
@@ -206,17 +245,20 @@ class ModuleGB:
         d, i, j = heappop(self.pairs)
         gi = self.elts[i]
         gj = self.elts[j]
-        lcm = key_lcm(gi.lead, gj.lead)
+        shift = self.shift
+        lcm = key_lcm(gi.lead, gj.lead, shift)
         # rank one: coprime leads are those whose lcm is their product
         if self.use_product and lcm == gi.lead + gj.lead:
             return
         if self.use_chain:
+            guard = self._guard
+            mask = self._mask
             for gk in self.by_comp.get(gi.comp, ()):
                 if gk is gi or gk is gj:
                     continue
-                if key_divides(gk.lead, lcm):
-                    lik = key_lcm(gi.lead, gk.lead)
-                    ljk = key_lcm(gj.lead, gk.lead)
+                if (gk.lead - lcm + guard) & mask == guard:
+                    lik = key_lcm(gi.lead, gk.lead, shift)
+                    ljk = key_lcm(gj.lead, gk.lead, shift)
                     # both sub-pairs lie in strictly smaller degree, hence
                     # were already processed: safe to drop this pair
                     if lik != lcm and ljk != lcm:
@@ -229,9 +271,10 @@ class ModuleGB:
         _axpy(svec, 1, sj, gj.vec, p)
         svalue: Optional[Vec] = None
         if self.track:
+            lift = self._lift
             svalue = {}
-            _axpy(svalue, p - 1, si, gi.track, p)
-            _axpy(svalue, 1, sj, gj.track, p)
+            _axpy(svalue, p - 1, si << lift, gi.track, p)
+            _axpy(svalue, 1, sj << lift, gj.track, p)
         rem, remval = self._reduce(svec, svalue)
         if not rem:
             if self.track and remval:
@@ -270,7 +313,7 @@ class ModuleGB:
         kept: list[_Elt] = []
         for i in order_idx:
             g = self.elts[i]
-            if not any(key_divides(h.lead, g.lead) for h in kept):
+            if not any(key_divides(h.lead, g.lead, self.shift) for h in kept):
                 kept.append(g)
         # tail reduction against the final minimal set
         saved_by_comp = self.by_comp
@@ -308,7 +351,8 @@ def minimal_generating_subset(
 
     Processes candidates in ascending degree, keeping one exactly when it is
     not a combination of those already kept (membership tested against an
-    incrementally completed basis, sound degreewise for homogeneous input).
+    incrementally completed basis, sound degreewise for homogeneous input;
+    a kept one's remainder joins the basis).
     The count of kept generators is the minimal number of generators.
     """
     items = sorted(
@@ -318,11 +362,9 @@ def minimal_generating_subset(
     inc = ModuleGB(p, twists, use_chain=True)
     kept: list[int] = []
     for i in items:
-        d = vec_degree(vecs[i], twists)
-        inc.complete_to(d)
-        if inc.normal_form(vecs[i]):
+        inc.complete_to(vec_degree(vecs[i], twists))
+        if inc.add_remainder(dict(vecs[i])):
             kept.append(i)
-            inc.add(dict(vecs[i]))
     return kept
 
 

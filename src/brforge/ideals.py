@@ -16,6 +16,7 @@ from .ring import Rng
 
 __all__ = [
     "ConstructionError",
+    "InvariantError",
     "Ideal",
     "normal_form",
     "ideal_quotient",
@@ -30,6 +31,11 @@ __all__ = [
 
 class ConstructionError(RuntimeError):
     """A randomized construction failed to reach the expected state."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant broke: a fault of the program, not of its input
+    or of a random draw."""
 
 
 def poly_to_vec(f: Polynomial, comp: int = 0) -> Vec:
@@ -232,7 +238,7 @@ def saturation(I: Ideal, *, log=None) -> Ideal:
             current = bigger
             steps += 1
             if steps > 60:
-                raise RuntimeError("saturation failed to stabilize")
+                raise InvariantError("saturation failed to stabilize")
         if log and steps:
             log(f"saturation by {v} stabilized after {steps} quotients")
         result = current if result is None else ideal_intersection(result, current)

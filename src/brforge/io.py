@@ -20,7 +20,7 @@ row, separated by ' | ':
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Optional
 
 from .ideals import Ideal
 from .poly import PolyRing

@@ -25,12 +25,10 @@ from .ideals import (
     saturation,
     top_dimensional_part,
 )
-from .poly import PolyRing
 from .resolution import (
     BettiTable,
     GorensteinCertificate,
     GradedMatrix,
-    Resolution,
     free_resolution,
     gorenstein_certificate,
     syzygy_matrix,

@@ -1,22 +1,27 @@
 """Graded matrices, syzygies, free resolutions, and Betti data.
 
-Resolutions are built stepwise: the columns of each stage are pruned to a
-minimal generating set of the syzygy module before becoming the next matrix,
-so a resolution of a minimally generated ideal comes out minimal already.
-minimize() handles the general case by cancelling unit entries, carrying the
-induced operations into both neighbouring matrices and the generator row.
+Resolutions are built with one tracked engine pass per stage.  The pass of
+a stage works in the Schreyer order induced by the columns of the stage
+before (ring explains the packed terms).  Its candidates are the raw
+relations the pass before emitted: it keeps those not in the span of the
+ones kept so far, which prunes them to a minimal generating set, and emits
+the relations among the kept ones, already in the order they induce, for
+the next pass.  The resolution of a minimally generated ideal therefore
+comes out minimal.  minimize() handles the general case by cancelling unit
+entries, carrying the induced operations into both neighbouring matrices
+and the generator row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .engine import Vec, minimal_generating_subset, tracked_syzygies, vec_degree
+from .engine import ModuleGB, Vec, tracked_syzygies, vec_degree
 from .hilbert import hilbert_report
-from .ideals import Ideal, poly_to_vec, vec_to_poly
+from .ideals import Ideal, InvariantError, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
-from .ring import key_component
+from .ring import COMP_BITS, frame_unit, key_component, key_degree
 
 __all__ = [
     "GradedMatrix",
@@ -296,7 +301,7 @@ class Resolution:
             twists.pop()
             mats.pop()
         if any(not t for t in twists):
-            raise AssertionError("interior stage collapsed during minimization")
+            raise InvariantError("interior stage collapsed during minimization")
         if log and cancelled:
             log(f"minimization cancelled {cancelled} unit pairs")
         out_mats = [
@@ -304,7 +309,7 @@ class Resolution:
         ]
         res = Resolution(ring, gens, twists, out_mats)
         if not res.is_minimal():
-            raise AssertionError("unit entries survived minimization")
+            raise InvariantError("unit entries survived minimization")
         return res
 
 
@@ -316,42 +321,105 @@ def syzygy_matrix(M: GradedMatrix, *, log=None) -> GradedMatrix:
     return GradedMatrix.from_columns(ring, M.col_twists, syz, degs)
 
 
+def _stage_pass(
+    p: int,
+    rank: int,
+    shift: int,
+    candidates: list[Optional[Vec]],
+    prune: bool,
+) -> tuple[list[Vec], list[int], list[int], list[Vec], int]:
+    """One tracked pass over the columns of a stage, in the Schreyer frame
+    the stage before induced: terms at `shift` (see ring), all twists zero.
+
+    With prune, candidates are taken in (degree, index) order, the basis is
+    completed through each one's degree, and a candidate is kept only when
+    its normal form is nonzero, which then joins the basis; otherwise every
+    candidate is kept in order.  Each candidate is dropped from the list
+    once it is taken.  A kept column tracks its own unit vector in the frame
+    it induces, so the relations emitted are already in the next stage's
+    layout.
+
+    Returns (kept columns, their degrees, their unit terms, emitted
+    relations, basis size).
+    """
+    gb = ModuleGB(
+        p, (0,) * rank, track=True, use_chain=True, shift=shift, value_shift=shift + COMP_BITS
+    )
+    order = range(len(candidates))
+    if prune:
+        order = sorted(order, key=lambda i: (key_degree(next(iter(candidates[i])), shift), i))
+    kept: list[Vec] = []
+    degrees: list[int] = []
+    units: list[int] = []
+    for i in order:
+        vec = candidates[i]
+        candidates[i] = None
+        d = key_degree(next(iter(vec)), shift)
+        unit = frame_unit(max(vec), len(units))
+        if prune:
+            gb.complete_to(d)
+            if not gb.add_remainder(dict(vec), {unit: 1}):
+                continue
+        else:
+            gb.add(vec, {unit: 1})
+        kept.append(vec)
+        degrees.append(d)
+        units.append(unit)
+    gb.complete()
+    return kept, degrees, units, gb.emitted, len(gb.elts)
+
+
+def _unframe(vec: Vec, shift: int, units: Sequence[int]) -> Vec:
+    """A framed vector in term over position layout."""
+    out: Vec = {}
+    for t, c in vec.items():
+        comp = key_component(t)
+        out[((t - units[comp]) >> shift) - comp] = c
+    return out
+
+
 def free_resolution(
     I: Ideal, *, minimize: bool = True, log: Optional[Callable[[str], None]] = None
 ) -> Resolution:
-    """Stepwise free resolution of the ideal's generators.
+    """Stepwise free resolution of the ideal's generators, one tracked pass
+    per stage.
 
-    Each syzygy stage is pruned to a minimal generating set; with minimally
-    generated input the result is already minimal, and minimize=True runs
-    unit cancellation to cover the general case.
+    The first pass takes every generator as a column.  The pass of each
+    later stage works in the Schreyer order the stage before induced and
+    does two jobs: it prunes the raw relations of the stage before to a
+    minimal generating set, keeping a relation when it is not in the span
+    of those kept so far, and it emits the relations among the kept ones,
+    already framed for the next pass.  With minimally generated input the
+    result is already minimal, and minimize=True runs unit cancellation to
+    cover the general case.
     """
     ring = I.ring
     gens = list(I.gens)
     if not gens:
         raise ValueError("resolution of the zero ideal")
-    cols = [poly_to_vec(g) for g in gens]
-    ambient = (0,)
-    cur_twists = [g.degree() for g in gens]
-    twists: list[list[int]] = [list(cur_twists)]
+    _, degs, units, raw, size = _stage_pass(ring.p, 1, 0, [poly_to_vec(g) for g in gens], False)
+    twists = [degs]
     matrices: list[GradedMatrix] = []
+    shift = COMP_BITS
     while True:
-        syz = tracked_syzygies(cols, ring.p, ambient, log=log)
-        if not syz:
+        if log:
+            log(f"syzygy pass: {size} basis elements, {len(raw)} raw relations")
+        if not raw:
+            if log:
+                log("pruned to 0 minimal relations")
             break
-        degs = [vec_degree(s, cur_twists) for s in syz]
-        order = sorted(range(len(syz)), key=lambda i: (degs[i], i))
-        syz = [syz[i] for i in order]
-        degs = [degs[i] for i in order]
-        M = GradedMatrix.from_columns(ring, tuple(cur_twists), syz, degs)
-        matrices.append(M)
-        twists.append(list(degs))
+        cols, degs, next_units, raw, size = _stage_pass(ring.p, len(units), shift, raw, True)
+        if log:
+            log(f"pruned to {len(cols)} minimal relations")
+        cols = [_unframe(c, shift, units) for c in cols]
+        matrices.append(GradedMatrix.from_columns(ring, tuple(twists[-1]), cols, degs))
+        twists.append(degs)
         if log:
             log(f"stage {len(matrices)}: {len(degs)} syzygies, degrees {sorted(set(degs))}")
-        ambient = tuple(cur_twists)
-        cur_twists = degs
-        cols = syz
         if len(matrices) > ring.nvars + 1:
-            raise AssertionError("resolution exceeded the global bound")
+            raise InvariantError("resolution exceeded the global bound")
+        units = next_units
+        shift += COMP_BITS
     res = Resolution(ring, gens, twists, matrices)
     if minimize:
         res = res.minimize(log=log)

@@ -15,6 +15,20 @@ last differing variable), and on module terms it is term over position with
 the lower component winning ties; key(1) = 0.  A polynomial's keys are its
 component-0 terms.
 
+A free module whose basis maps to columns c_0, c_1, ... can instead order
+its terms by the Schreyer order those columns induce: m*e_j compares by
+m*lead(c_j) in the columns' own module, then by the lower j.  That term is
+
+    (((key(m) << s) + lead(c_j)) << COMP_BITS) - j  =  (key(m) << shift) + unit_j
+
+where s is the shift of the columns' module, shift = s + COMP_BITS, and
+unit_j = frame_unit(lead(c_j), j) is the term of e_j.  Term over position
+is shift 0 with unit_j = -j.  Below the key sit `shift` bits of nested
+components, so multiplying is still adding key(m) << shift, and degree,
+divisibility and lcm read the fields `shift` bits further up.  The degree
+such a term reads is that of the monomial of m*lead(c_j), and so on down to
+a polynomial: its degree in a resolution of an ideal.
+
 The top bit of each field is a guard bit that exponents never reach, so an
 exponent is at most MAX_DEGREE = B/2 - 1 = 2047, and so is a total degree
 (ValueError beyond it): one subtraction then tells divisibility by which
@@ -31,6 +45,7 @@ __all__ = [
     "MAX_N",
     "MAX_DEGREE",
     "MAX_RANK",
+    "COMP_BITS",
     "PrimeField",
     "Rng",
     "monomial_key",
@@ -39,6 +54,8 @@ __all__ = [
     "key_exponents",
     "key_divides",
     "key_lcm",
+    "divisor_masks",
+    "frame_unit",
 ]
 
 # Variables are z0..zn with n at most MAX_N.
@@ -173,9 +190,9 @@ def monomial_key(exps: Sequence[int]) -> int:
     return ((deg << (EXP_BITS * _FIELDS)) - packed) << COMP_BITS
 
 
-def key_degree(t: int) -> int:
+def key_degree(t: int, shift: int = 0) -> int:
     """Total degree of the monomial of a key or term."""
-    return -((-t) >> _DEG_SHIFT)
+    return -((-t) >> (_DEG_SHIFT + shift))
 
 
 def key_component(t: int) -> int:
@@ -183,9 +200,10 @@ def key_component(t: int) -> int:
     return -t & _COMP_MASK
 
 
-def _fields(t: int) -> int:
-    """R * sum_i e_i * B**i + comp: the exponent fields above the component."""
-    return (key_degree(t) << _DEG_SHIFT) - t
+def _fields(t: int, shift: int = 0) -> int:
+    """The exponent fields above the components: (R * sum_i e_i * B**i) << shift
+    plus the components below."""
+    return (key_degree(t, shift) << (_DEG_SHIFT + shift)) - t
 
 
 def key_exponents(t: int, nvars: int) -> tuple[int, ...]:
@@ -195,21 +213,36 @@ def key_exponents(t: int, nvars: int) -> tuple[int, ...]:
     return tuple((packed >> (EXP_BITS * i)) & mask for i in range(nvars))
 
 
-def key_divides(a: int, b: int) -> bool:
+def divisor_masks(shift: int = 0) -> tuple[int, int]:
+    """(guard, mask) with which term a divides term b exactly when
+    (a - b + guard) & mask == guard, for terms `shift` bits up."""
+    return _GUARD << shift, (_DIV_MASK << shift) | _COMP_MASK
+
+
+def key_divides(a: int, b: int, shift: int = 0) -> bool:
     """True when term a divides term b: same component, and no exponent of
-    a exceeds b's, so every guard bit survives b's fields minus a's."""
-    return (a - b + _GUARD) & _DIV_MASK == _GUARD
+    a exceeds b's, so every guard bit survives b's fields minus a's.  Equal
+    low COMP_BITS mean equal components, and then equal nested components."""
+    guard, mask = divisor_masks(shift)
+    return (a - b + guard) & mask == guard
 
 
-def key_lcm(a: int, b: int) -> int:
+def key_lcm(a: int, b: int, shift: int = 0) -> int:
     """Least common multiple of two terms of the same component."""
-    fa = _fields(a)
-    fb = _fields(b)
+    fa = _fields(a, shift)
+    fb = _fields(b, shift)
     # a guard bit survives where a's exponent is at least b's; spread each
     # surviving guard bit over its whole field
-    wider = (((fa - fb + _GUARD) & _GUARD) >> (EXP_BITS - 1)) * (_B - 1)
+    guard = _GUARD << shift
+    wider = (((fa - fb + guard) & guard) >> (EXP_BITS - 1)) * (_B - 1)
     f = (fa & wider) | (fb & ~wider)
     # B = 1 (mod B - 1), so the fields sum to their value mod B - 1; the sum
     # is at most 2 * MAX_DEGREE < B - 1
-    deg = (f >> COMP_BITS) % (_B - 1)
-    return (deg << _DEG_SHIFT) - f
+    deg = (f >> (COMP_BITS + shift)) % (_B - 1)
+    return (deg << (_DEG_SHIFT + shift)) - f
+
+
+def frame_unit(lead: int, comp: int) -> int:
+    """The term of e_comp in the order induced by columns whose comp-th
+    lead is `lead`; its module's shift is the columns' shift + COMP_BITS."""
+    return (lead << COMP_BITS) - comp

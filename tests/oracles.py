@@ -11,6 +11,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+from brforge.engine import tracked_syzygies, vec_degree
+from brforge.ideals import poly_to_vec
+from brforge.resolution import GradedMatrix, Resolution
 from brforge.ring import key_component, key_exponents, monomial_key
 
 
@@ -286,3 +289,47 @@ def pfaffian_scalar(m: list[list[int]], p: int) -> int:
         return total
 
     return pf(idx)
+
+
+# ---------------------------------------------------------------- reference routes
+# Unlike the rest of this file these use the engine: they rebuild, from
+# its public pieces, a route the package has since replaced, so that the
+# new route can be compared against the old one.
+
+
+def stepwise_resolution(I) -> Resolution:
+    """The resolution as free_resolution built it before one pass per stage:
+    each stage is a separate tracked_syzygies call (a term over position
+    pass plus its own pruning pass) on the columns of the stage before.  No
+    minimization."""
+    ring = I.ring
+    gens = list(I.gens)
+    cols = [poly_to_vec(g) for g in gens]
+    ambient: tuple[int, ...] = (0,)
+    cur = [g.degree() for g in gens]
+    twists = [list(cur)]
+    matrices = []
+    while True:
+        syz = tracked_syzygies(cols, ring.p, ambient)
+        if not syz:
+            break
+        degs = [vec_degree(s, cur) for s in syz]
+        order = sorted(range(len(syz)), key=lambda i: (degs[i], i))
+        syz = [syz[i] for i in order]
+        degs = [degs[i] for i in order]
+        matrices.append(GradedMatrix.from_columns(ring, tuple(cur), syz, degs))
+        twists.append(degs)
+        ambient = tuple(cur)
+        cur = degs
+        cols = syz
+    return Resolution(ring, gens, twists, matrices)
+
+
+def hilbert_numerator_dense(gens: Sequence, nvars: int, p: int, upto: int) -> list[int]:
+    """Coefficients of t^0..t^upto of (1 - t)^nvars * sum_d dim (R/I)_d t^d,
+    from the dense Hilbert function: the numerator of the Hilbert series
+    when its degree is at most upto."""
+    series = hilbert_function(gens, nvars, p, upto)
+    for _ in range(nvars):
+        series = [series[0]] + [b - a for a, b in zip(series, series[1:])]
+    return series

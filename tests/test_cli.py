@@ -5,7 +5,7 @@ import json
 import pytest
 
 from brforge.cli import main
-from brforge.ideals import Ideal
+from brforge.ideals import Ideal, InvariantError
 from brforge.io import read_ideal, read_matrix, write_ideal, write_matrix
 from brforge.resolution import GradedMatrix
 
@@ -83,6 +83,18 @@ class TestRes:
         s = summary_of(out)
         assert s["gorenstein"]["arithmetically_gorenstein"] is False
         assert s["gorenstein"]["last_rank"] == 2
+
+    def test_broken_invariant_exits_3(self, capsys, monkeypatch):
+        import brforge.cli
+
+        def broken(I, **kwargs):
+            raise InvariantError("resolution exceeded the global bound")
+
+        monkeypatch.setattr(brforge.cli, "free_resolution", broken)
+        code, out, err = run(["res", "--ideal", fixture("points5.id")], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "forge res: resolution exceeded the global bound\n"
 
 
 class TestMinorsAndPfaffians:

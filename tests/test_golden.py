@@ -25,6 +25,7 @@ CASES = {
     "section_koszul_p3": ["section", "--matrix", fixture("koszul_p3.mat"), "--deg", "1", "--seed", "1"],
     "top_points5": ["top", "--ideal", fixture("points5.id"), "--seed", "1"],
     "res_points5": ["res", "--ideal", fixture("points5.id"), "--minimal"],
+    "res_points5_protocol": ["res", "--ideal", fixture("points5.id"), "--minimal", "--protocol"],
     "link_veronese_seed5": [
         "link", "--phi", fixture("linear_row_p5.mat"), "--ideal", fixture("veronese.id"),
         "--deg", "0", "--seed", "5",

@@ -4,6 +4,7 @@ import pytest
 
 from brforge.hilbert import hilbert_numerator
 from brforge.ideals import Ideal
+from brforge.poly import PolyRing
 from brforge.resolution import (
     BettiTable,
     GradedMatrix,
@@ -15,6 +16,7 @@ from brforge.resolution import (
 )
 from brforge.ring import Rng
 
+import oracles
 from conftest import random_ideal
 
 
@@ -105,6 +107,31 @@ class TestExactnessViaHilbert:
             assert euler_numerator(res) == _strip(
                 hilbert_numerator(I.leading_exponents(), ring3.nvars)
             )
+
+
+class TestAgainstStepwise:
+    """free_resolution against the stepwise route it replaced, on random
+    ideals over small primes, where random forms often degenerate."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_ideals(self, p, n):
+        ring = PolyRing(p, n)
+        rng = Rng(1000 * p + n)
+        for _ in range(3):
+            I = random_ideal(ring, rng, 2 + rng.below(3), 3)
+            res = free_resolution(I, minimize=False)
+            ref = oracles.stepwise_resolution(I)
+            assert res.betti() == ref.betti()
+            assert res.matrices[0].entries == ref.matrices[0].entries
+            row = GradedMatrix(ring, [list(I.gens)], (0,), res.twists[0])
+            assert row.compose(res.matrices[0]).is_zero()
+            assert_is_complex(res)
+            top = max(max(t) for t in res.twists)
+            assert euler_numerator(res) == _strip(
+                oracles.hilbert_numerator_dense(I.gens, ring.nvars, p, top)
+            )
+            assert free_resolution(I).betti() == ref.minimize().betti()
 
 
 class TestMinimize:

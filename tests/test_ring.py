@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from brforge.ring import (
+    COMP_BITS,
     MAX_DEGREE,
     PrimeField,
     Rng,
@@ -11,6 +12,7 @@ from brforge.ring import (
     key_divides,
     key_exponents,
     key_lcm,
+    frame_unit,
     monomial_key,
 )
 
@@ -188,3 +190,84 @@ class TestModuleOrders:
                     tb = monomial_key(b) - cb
                     want = degrevlex_cmp(a, b) or (cb > ca) - (cb < ca)
                     assert (ta > tb) - (ta < tb) == want
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _degrevlex(e):
+    """Sort key: the larger key is the larger monomial in degrevlex."""
+    return sum(e), tuple(-x for x in reversed(e))
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+class TestSchreyerFrames:
+    """Terms m*e_j of the order induced by columns with leads lead_j are
+    (key(m) << shift) + frame_unit(lead_j, j).  Two nested frames over a
+    rank-two term over position module, against a reference that compares
+    m*lead_j exponent-wise, then the components down the frame, lower
+    first."""
+
+    MONOS = [e for e in product(range(3), repeat=3) if sum(e) <= 2]
+    # leads (component, exponents) in the base module; 0 and 3 tie, and 0
+    # and 1 share a monomial
+    BASE = [(0, (1, 0, 0)), (1, (1, 0, 0)), (0, (0, 1, 0)), (0, (1, 0, 0))]
+    # leads (monomial, j) in the first frame; 0 and 1 share a monomial
+    # over tied leads
+    FIRST = [((0, 0, 1), 0), ((0, 0, 1), 3), ((1, 0, 0), 2)]
+
+    def first(self, m, j):
+        comp, e = self.BASE[j]
+        return (monomial_key(m) << COMP_BITS) + frame_unit(monomial_key(e) - comp, j)
+
+    def second(self, m, k):
+        mk, j = self.FIRST[k]
+        return (monomial_key(m) << 2 * COMP_BITS) + frame_unit(self.first(mk, j), k)
+
+    def terms(self):
+        """(shift, [(term, reference key, exponents, component)]) per frame."""
+        first = []
+        for m in self.MONOS:
+            for j, (comp, e) in enumerate(self.BASE):
+                first.append((self.first(m, j), (_degrevlex(_add(m, e)), -comp, -j), m, j))
+        second = []
+        for m in self.MONOS:
+            for k, (mk, j) in enumerate(self.FIRST):
+                comp, e = self.BASE[j]
+                ref = (_degrevlex(_add(_add(m, mk), e)), -comp, -j, -k)
+                second.append((self.second(m, k), ref, m, k))
+        return [(COMP_BITS, first), (2 * COMP_BITS, second)]
+
+    def test_integer_order_matches_reference(self):
+        for _, terms in self.terms():
+            for ta, ra, _, _ in terms:
+                for tb, rb, _, _ in terms:
+                    assert _cmp(ta, tb) == _cmp(ra, rb), (ra, rb)
+
+    def test_component_and_degree(self):
+        for shift, terms in self.terms():
+            for t, ref, m, j in terms:
+                assert key_component(t) == j
+                assert key_degree(t, shift) == ref[0][0]
+
+    def test_multiplying_adds_the_shifted_key(self):
+        for shift, terms in self.terms():
+            build = self.first if shift == COMP_BITS else self.second
+            for t, _, m, j in terms:
+                for x in self.MONOS:
+                    assert t + (monomial_key(x) << shift) == build(_add(m, x), j)
+
+    def test_divisibility_and_lcm(self):
+        for shift, terms in self.terms():
+            build = self.first if shift == COMP_BITS else self.second
+            for ta, _, ma, ja in terms:
+                for tb, _, mb, jb in terms:
+                    want = ja == jb and all(x <= y for x, y in zip(ma, mb))
+                    assert key_divides(ta, tb, shift) == want, (ma, ja, mb, jb)
+                    if ja == jb:
+                        lcm = tuple(max(x, y) for x, y in zip(ma, mb))
+                        assert key_lcm(ta, tb, shift) == build(lcm, ja)
