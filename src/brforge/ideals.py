@@ -118,10 +118,13 @@ class Ideal:
         return self.ring.nvars - self.affine_dimension()
 
     def minimal_generators(self) -> tuple[Polynomial, ...]:
-        """A minimal generating subset, ascending by degree, monic."""
-        vecs = [poly_to_vec(g) for g in self.gens]
-        keep = minimal_generating_subset(vecs, self.ring.p, (0,))
-        return tuple(self.gens[i].monic() for i in keep)
+        """The canonical minimal generators: the members of the reduced
+        Groebner basis, in ascending order, that minimal_generating_subset
+        keeps.  They are monic and depend on the ideal alone, not on the
+        generators it was given by."""
+        gb = self.groebner()
+        keep = minimal_generating_subset([poly_to_vec(g) for g in gb], self.ring.p, (0,))
+        return tuple(gb[i] for i in keep)
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.gens)} gens over {self.ring!r})"
@@ -148,18 +151,42 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, tuple(f * g for f in I.gens for g in J.gens))
 
 
+def _essential_targets(I: Ideal, targets: Sequence[Polynomial]) -> list[Polynomial]:
+    """The targets not in I plus the targets before them, in (degree, index)
+    order, returned in their original order.  Dropping the others keeps the
+    quotient, since I : (A + (k)) = I : A whenever k lies in I + A.
+
+    Membership is tested as in minimal_generating_subset, on one incremental
+    basis seeded with I's reduced basis as block 0 (whose internal pairs are
+    already resolved); a kept target's remainder joins the basis."""
+    inc = ModuleGB(I.ring.p, (0,), use_product=True, use_chain=True)
+    for f in I.groebner():
+        inc.add(poly_to_vec(f), block=0)
+    kept = []
+    for i in sorted(range(len(targets)), key=lambda i: (targets[i].degree(), i)):
+        inc.complete_to(targets[i].degree())
+        if inc.add_remainder(poly_to_vec(targets[i])):
+            kept.append(i)
+    return [targets[i] for i in sorted(kept)]
+
+
 def _seeded_quotient(
     I: Ideal, targets: Sequence[Polynomial], log: Optional[Callable[[str], None]] = None
 ) -> Ideal:
-    """(I : (targets)) via one tracked pass: the module generated by
-    I x R^m together with the single column (targets), tracking the scalar
-    cofactor of that column.  Zero reductions emit elements of the quotient.
+    """(I : (targets)) via one tracked pass on the essential targets: the
+    module generated by I x R^m together with the single column (targets),
+    tracking the scalar cofactor of that column.  Zero reductions emit
+    elements of the quotient; the unit ideal needs no pass.
 
     Rank one additionally runs the product criterion; the Koszul syzygies it
     skips have cofactors inside I, which I's own generators (always part of
-    the quotient) cover."""
+    the quotient) cover.  The result is presented canonically
+    (Ideal.minimal_generators), so it does not depend on the pass."""
     ring = I.ring
     p = ring.p
+    targets = _essential_targets(I, targets)
+    if not targets:
+        return Ideal(ring, [ring.one])
     m = len(targets)
     maxdeg = max(g.degree() for g in targets)
     twists = tuple(maxdeg - g.degree() for g in targets)
@@ -177,7 +204,10 @@ def _seeded_quotient(
     vals = [poly_to_vec(f) for f in I.gens] if m == 1 else []
     vals.extend(v for v in gb.emitted if v)
     keep = minimal_generating_subset(vals, p, (0,))
-    return Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
+    Q = Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
+    out = Ideal(ring, Q.minimal_generators())
+    out._gb, out._gb_engine = Q._gb, Q._gb_engine  # same ideal, computed once
+    return out
 
 
 def ideal_quotient(I: Ideal, J: Ideal | Polynomial, *, log=None) -> Ideal:

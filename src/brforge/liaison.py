@@ -20,6 +20,7 @@ from .hilbert import HilbertReport, hilbert_report
 from .ideals import (
     ConstructionError,
     Ideal,
+    InvariantError,
     ideal_quotient,
     poly_to_vec,
     saturation,
@@ -110,7 +111,7 @@ def common_section(
     sec = combine_columns(D, min(D.col_twists) + d, rng, log=log)
     for e in sec.vector.entries:
         if not IV.contains(e):
-            raise AssertionError("section entry escaped the subscheme ideal")
+            raise InvariantError("section entry escaped the subscheme ideal")
     r = phi.cols - phi.rows
     return replace(sec, regular=sec.ideal.affine_dimension() == ring.nvars - r)
 
@@ -145,7 +146,7 @@ def gorenstein_link(
     sat = saturation(sec.ideal, log=log)
     X = top_dimensional_part(sat, codim, rng, log=log)
     if not IV.contains_ideal(X):
-        raise AssertionError("the linking scheme does not contain V")
+        raise InvariantError("the linking scheme does not contain V")
     res = free_resolution(X, log=log)
     cert = gorenstein_certificate(X, resolution=res)
     residual = ideal_quotient(X, IV, log=log)
@@ -259,7 +260,7 @@ def generalized_br_run(
     gen_degrees = tuple(sorted(res_x.twists[0]))
     expected_type = tuple(sorted([d - dk for dk in ci_degrees] + [spec.b - d]))
     if gen_degrees != expected_type:
-        raise AssertionError(
+        raise InvariantError(
             f"not an almost complete intersection of type {expected_type}:"
             f" generators sit in degrees {gen_degrees}"
         )

@@ -11,8 +11,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from brforge.engine import tracked_syzygies, vec_degree
-from brforge.ideals import poly_to_vec
+from brforge.engine import ModuleGB, minimal_generating_subset, tracked_syzygies, vec_degree
+from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
 from brforge.resolution import GradedMatrix, Resolution
 from brforge.ring import key_component, key_exponents, monomial_key
 
@@ -108,6 +108,30 @@ class DenseSpan:
                 else:
                     vec.pop(k, None)
         return vec
+
+    def normal_form(self, vec: dict[int, int]) -> dict[int, int]:
+        """The representative of vec modulo the span with no entry at a
+        pivot index: unique, hence linear in vec.  (_reduce stops at the
+        first index that is not a pivot, which only decides membership.)"""
+        p = self.p
+        vec = {k: v % p for k, v in vec.items() if v % p}
+        out = {}
+        while vec:
+            piv = min(vec)
+            c = vec.pop(piv)
+            row = self.rows.get(piv)
+            if row is None:
+                out[piv] = c
+                continue
+            for k, v in row.items():
+                if k == piv:
+                    continue
+                nv = (vec.get(k, 0) - c * v) % p
+                if nv:
+                    vec[k] = nv
+                else:
+                    vec.pop(k, None)
+        return out
 
     def add(self, vec: dict[int, int]) -> bool:
         """Insert a vector; True when the rank grew."""
@@ -209,7 +233,7 @@ def dim_quotient_piece(
         stacked: dict[int, int] = {}
         for g, index, span, off in blocks:
             prod = {index[_add_exps(m, e)]: c for e, c in g.items()}
-            rem = span._reduce(prod)
+            rem = span.normal_form(prod)
             for k, v in rem.items():
                 stacked[off + k] = v
         rows_per_f.append(stacked)
@@ -323,6 +347,37 @@ def stepwise_resolution(I) -> Resolution:
         cur = degs
         cols = syz
     return Resolution(ring, gens, twists, matrices)
+
+
+def unpruned_quotient(I, targets: Sequence) -> Ideal:
+    """(I : (targets)) as ideal_quotient computed it before the targets were
+    pruned: one tracked pass on every nonzero target, rank one (with the
+    product criterion) only when there is a single target, and the emitted
+    cofactors pruned to a minimal generating subset."""
+    ring = I.ring
+    p = ring.p
+    targets = [g for g in targets if not g.is_zero()]
+    m = len(targets)
+    maxdeg = max(g.degree() for g in targets)
+    gb = ModuleGB(
+        p,
+        tuple(maxdeg - g.degree() for g in targets),
+        track=True,
+        use_chain=True,
+        use_product=(m == 1),
+    )
+    for f in I.groebner():
+        for comp in range(m):
+            gb.add(poly_to_vec(f, comp), {}, block=comp)
+    target_vec = {}
+    for comp, g in enumerate(targets):
+        target_vec.update(poly_to_vec(g, comp))
+    gb.add(target_vec, {0: 1})
+    gb.complete()
+    vals = [poly_to_vec(f) for f in I.gens] if m == 1 else []
+    vals.extend(v for v in gb.emitted if v)
+    keep = minimal_generating_subset(vals, p, (0,))
+    return Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
 
 
 def hilbert_numerator_dense(gens: Sequence, nvars: int, p: int, upto: int) -> list[int]:

@@ -3,9 +3,9 @@ suites.
 
 Arithmetic is exact over GF(p), so every numeric comparison below is an
 equality, and the wall-clock bounds are the generous budgets the scenarios
-were sized for.  test_03 resolves three projective-six constructions and
-dominates the runtime at about a minute per seed on a 2-core machine;
-everything else finishes in seconds.
+were sized for.  test_03 builds and resolves three projective-six
+constructions at three to four seconds per seed on a 2-core machine, the
+slowest test here; everything else finishes in seconds.
 """
 
 import contextlib

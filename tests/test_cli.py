@@ -422,6 +422,21 @@ class TestLink:
         assert (out_dir / "residual.id").exists()
         assert (out_dir / "section.id").exists()
 
+    def test_broken_invariant_exits_3(self, capsys, monkeypatch, tmp_path, ring3):
+        import brforge.liaison
+
+        def unit(I, r, rng, **kwargs):
+            return Ideal(I.ring, [I.ring.one])
+
+        monkeypatch.setattr(brforge.liaison, "top_dimensional_part", unit)
+        phi, line = self.setup_files(tmp_path, ring3)
+        code, _, err = run(
+            ["link", "--phi", phi, "--ideal", line, "--deg", "0", "--seed", "5"],
+            capsys,
+        )
+        assert code == 3
+        assert err == "forge link: the linking scheme does not contain V\n"
+
 
 class TestGenBr:
     def test_five_points_base(self, capsys):

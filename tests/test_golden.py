@@ -37,3 +37,7 @@ CASES = {
 def test_seeded_output_is_unchanged(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def test_every_case_has_exactly_one_text():
+    assert sorted(CASES) == sorted(path.stem for path in GOLDEN.glob("*.txt"))

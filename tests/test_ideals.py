@@ -2,8 +2,10 @@
 
 import pytest
 
+from brforge.construct import ConstructionSpec, construction_matrix, kernel_section_run
 from brforge.ideals import (
     Ideal,
+    _essential_targets,
     affine_dimension,
     ideal_intersection,
     ideal_product,
@@ -13,6 +15,7 @@ from brforge.ideals import (
     saturation,
     top_dimensional_part,
 )
+from brforge.poly import PolyRing
 from brforge.ring import Rng
 
 import oracles
@@ -66,6 +69,131 @@ class TestQuotient:
         I = Ideal(ring3, [ring3.variable(0)])
         Q = ideal_quotient(I, I)
         assert Q.contains(ring3.one)
+
+
+def _combination(ring, rng, parts, degree):
+    """A random combination, of the given degree, of the given forms."""
+    f = ring.zero
+    for g in parts:
+        if g.degree() <= degree:
+            f = f + ring.random_form(degree - g.degree(), rng) * g
+    return f
+
+
+class TestQuotientRedundantTargets:
+    """ideal_quotient passes only the targets outside I plus the targets
+    before them; the redundant ones must not move the quotient."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_dense_oracle_and_unpruned_route(self, p, n):
+        ring = PolyRing(p, n)
+        rng = Rng(100 * p + n)
+        for _ in range(4):
+            # targets from the factors of a product are zero divisors, so
+            # each one moves the quotient
+            A = random_ideal(ring, rng, 2, 1)
+            B = random_ideal(ring, rng, 2, 2)
+            I = ideal_product(A, B)
+            base = [_combination(ring, rng, A.gens, 2), _combination(ring, rng, B.gens, 2)]
+            inside = _combination(ring, rng, I.gens, 3)
+            mixed = _combination(ring, rng, base, 3) + _combination(ring, rng, I.gens, 3)
+            # a target in I, a duplicate, and a combination of earlier
+            # targets plus a member of I
+            targets = [base[0], inside, base[1], base[0], mixed]
+            kept = _essential_targets(I, targets)
+            assert all(any(k == b for b in base) for k in kept)
+            Q = ideal_quotient(I, Ideal(ring, targets))
+            for d in range(5):
+                assert oracles.degree_span(
+                    list(Q.gens), ring.nvars, p, d
+                ).rank == oracles.dim_quotient_piece(
+                    list(I.gens), targets, ring.nvars, p, d
+                ), (p, n, d)
+            assert Q.equals(oracles.unpruned_quotient(I, targets))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_targets_inside_the_ideal_give_the_unit_ideal(self, p):
+        ring = PolyRing(p, 3)
+        rng = Rng(p)
+        I = random_ideal(ring, rng, 3, 2)
+        targets = [
+            _combination(ring, rng, I.gens, 2),
+            I.gens[0],
+            _combination(ring, rng, I.gens, 3),
+            I.gens[0],
+        ]
+        assert _essential_targets(I, targets) == []
+        Q = ideal_quotient(I, Ideal(ring, targets))
+        assert Q.gens == (ring.one,)
+        assert Q.equals(oracles.unpruned_quotient(I, targets))
+        for d in range(4):
+            assert oracles.dim_quotient_piece(
+                list(I.gens), targets, ring.nvars, p, d
+            ) == len(oracles.monomial_exponents(ring.nvars, d))
+
+
+class TestCanonicalPresentation:
+    """Quotient and top-part results are printed on the members of their
+    reduced Groebner basis that minimal_generating_subset keeps."""
+
+    @staticmethod
+    def _formatted(gens):
+        return [g.ring.format(g) for g in gens]
+
+    @staticmethod
+    def _assert_canonical(R):
+        gb = R.groebner()
+        assert all(g.leading_coefficient() == 1 and g in gb for g in R.gens)
+        # the basis carried over from the quotient is the ideal's own
+        assert Ideal(R.ring, R.gens).groebner() == gb
+
+    def test_one_ideal_two_generating_sets(self, ring3):
+        rng = Rng(60)
+        for _ in range(4):
+            I = random_ideal(ring3, rng, 3, 2)
+            padded = [g.scale(1 + rng.below(P - 1)) for g in I.gens]
+            padded += [_combination(ring3, rng, I.gens, 3), I.gens[-1]]
+            for i in range(len(padded) - 1, 0, -1):
+                j = rng.below(i + 1)
+                padded[i], padded[j] = padded[j], padded[i]
+            J = Ideal(ring3, padded)
+            assert self._formatted(I.minimal_generators()) == self._formatted(
+                J.minimal_generators()
+            )
+            target = random_ideal(ring3, rng, 2, 2)
+            assert self._formatted(ideal_quotient(I, target).gens) == self._formatted(
+                ideal_quotient(J, target).gens
+            )
+
+    def test_quotients_and_top_parts_are_monic_basis_members(self, ring3):
+        rng = Rng(61)
+        for _ in range(4):
+            I = random_ideal(ring3, rng, 3, 2)
+            self._assert_canonical(ideal_quotient(I, random_ideal(ring3, rng, 2, 2)))
+            self._assert_canonical(ideal_quotient(I, ring3.random_form(1, rng)))
+        conic = Ideal(ring3, [ring3.parse("z3"), ring3.parse("z0*z1-z2^2")])
+        point = Ideal(ring3, [ring3.parse("z1"), ring3.parse("z2"), ring3.parse("z3-z0")])
+        self._assert_canonical(top_dimensional_part(ideal_intersection(conic, point), 2, Rng(57)))
+        run = kernel_section_run(PolyRing(P, 3), ConstructionSpec(1, 3, 1, 2, 3), Rng(11))
+        self._assert_canonical(run.gorenstein)
+
+    def test_p6_flagship_top_part_equals_the_old_double_quotient(self):
+        ring = PolyRing(P, 6)
+        spec = ConstructionSpec(1, 5, 1, 2, 6, seed=1)
+        matrix = construction_matrix(ring, spec, Rng(1))
+        run = kernel_section_run(ring, spec, Rng(1), matrix=matrix)
+        top = run.gorenstein
+        assert [g.degree() for g in top.gens] == [2, 2, 2, 2, 2, 2, 3]
+        self._assert_canonical(top)
+        # the top part does not depend on the regular sequence cut out of
+        # the section's ideal, so a fresh one serves the old route
+        I = run.section.ideal
+        rng = Rng(2)
+        J = Ideal(ring, [_combination(ring, rng, I.gens, 2) for _ in range(spec.r)])
+        assert J.codimension() == spec.r
+        link = oracles.unpruned_quotient(J, I.gens)
+        assert top.equals(oracles.unpruned_quotient(J, link.gens))
 
 
 class TestIntersection:
