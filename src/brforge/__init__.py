@@ -14,18 +14,13 @@ from .ideals import (
     ideal_intersection,
     ideal_product,
     ideal_quotient,
-    ideal_sum,
-    normal_form,
     saturation,
     top_dimensional_part,
 )
 from .hilbert import (
     HilbertReport,
-    HVectorChecks,
-    h_vector_checks,
     hilbert_function_values,
     hilbert_numerator,
-    hilbert_polynomial_value,
     hilbert_report,
 )
 from .resolution import (
@@ -98,16 +93,11 @@ __all__ = [
     "ideal_intersection",
     "ideal_product",
     "ideal_quotient",
-    "ideal_sum",
-    "normal_form",
     "saturation",
     "top_dimensional_part",
     "HilbertReport",
-    "HVectorChecks",
-    "h_vector_checks",
     "hilbert_function_values",
     "hilbert_numerator",
-    "hilbert_polynomial_value",
     "hilbert_report",
     "BettiTable",
     "GorensteinCertificate",

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from .chern import (
     GenBRSpec,
@@ -34,12 +34,14 @@ from .construct import (
     minors_ideal,
     pfaffian_ideal,
     section,
+    verify_construction,
 )
 from .hilbert import HilbertReport, hilbert_report
 from .ideals import ConstructionError, Ideal, InvariantError, top_dimensional_part
 from .io import read_ideal, read_matrix, write_ideal, write_matrix
 from .liaison import generalized_br_run, gorenstein_link
 from .poly import PolyRing
+from .protocol import note, recording
 from .resolution import free_resolution, gorenstein_certificate, regularity
 from .ring import Rng
 
@@ -72,10 +74,8 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
-def _logger(args) -> Optional[Callable[[str], None]]:
-    if getattr(args, "protocol", False):
-        return lambda msg: print(f"// {msg}")
-    return None
+def _print_note(msg: str) -> None:
+    print(f"// {msg}")
 
 
 def _out_dir(args) -> Optional[Path]:
@@ -123,7 +123,6 @@ def _gens_strings(I: Ideal) -> list[str]:
 
 
 def _cmd_br(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     matrix = None
     if args.matrix is not None:
@@ -165,7 +164,7 @@ def _cmd_br(args) -> int:
     )
     print(f"// seed = {args.seed}")
     rng = Rng(args.seed)
-    run = kernel_section_run(ring, spec, rng, matrix=matrix, log=log)
+    run = kernel_section_run(ring, spec, rng, matrix=matrix)
     rep = hilbert_report(run.gorenstein)
     twists = run.twist_data()
     chern = chern_coefficients(twists)
@@ -191,9 +190,7 @@ def _cmd_br(args) -> int:
         "generators": _gens_strings(run.gorenstein),
     }
     if args.verify:
-        from .construct import verify_construction
-
-        report = verify_construction(run.gorenstein, twists, log=log)
+        report = verify_construction(run.gorenstein, twists)
         summary["verification"] = report.as_dict()
     if out is not None:
         write_matrix(out / "matrix.mat", run.matrix)
@@ -208,12 +205,11 @@ def _cmd_br(args) -> int:
 
 
 def _cmd_section(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     M = read_matrix(args.matrix)
     print(f"// seed = {args.seed}")
     rng = Rng(args.seed)
-    sec = section(M, args.deg, rng, log=log)
+    sec = section(M, args.deg, rng)
     summary = {
         "command": "section",
         "seed": args.seed,
@@ -234,15 +230,13 @@ def _cmd_section(args) -> int:
 
 
 def _cmd_top(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     I = read_ideal(args.ideal)
     print(f"// seed = {args.seed}")
     rng = Rng(args.seed)
     codim = args.codim if args.codim is not None else I.codimension()
-    if log:
-        log(f"isolating the top-dimensional part in codimension {codim}")
-    top = top_dimensional_part(I, codim, rng, log=log)
+    note(f"isolating the top-dimensional part in codimension {codim}")
+    top = top_dimensional_part(I, codim, rng)
     rep = hilbert_report(top)
     _print_hilbert_blocks(rep)
     summary = {
@@ -277,10 +271,9 @@ def _cmd_hilb(args) -> int:
 
 
 def _cmd_res(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     I = read_ideal(args.ideal)
-    res = free_resolution(I, minimize=args.minimal, log=log)
+    res = free_resolution(I, minimize=args.minimal)
     print(f"// {res.describe()}")
     for line in res.betti().lines():
         print(f"// {line}")
@@ -303,10 +296,9 @@ def _cmd_res(args) -> int:
 
 
 def _cmd_minors(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     M = read_matrix(args.matrix)
-    I = minors_ideal(M, args.size, log=log)
+    I = minors_ideal(M, args.size)
     summary = {
         "command": "minors",
         "size": args.size,
@@ -321,10 +313,9 @@ def _cmd_minors(args) -> int:
 
 
 def _cmd_pfaffians(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     M = read_matrix(args.matrix)
-    I = pfaffian_ideal(M, log=log)
+    I = pfaffian_ideal(M)
     summary = {
         "command": "pfaffians",
         "count": len(I.gens),
@@ -338,6 +329,9 @@ def _cmd_pfaffians(args) -> int:
 
 
 # ---------------------------------------------------------------- predict
+
+
+_LIST_KEYS = ("a", "b", "p", "e1", "e2", "ci")
 
 
 def _parse_predict_config(text: str) -> dict:
@@ -354,27 +348,44 @@ def _parse_predict_config(text: str) -> dict:
             if not eq:
                 raise ValueError(f"expected key = value, got {line!r}")
             data[key.strip()] = val.strip()
-    # normalize: comma strings and scalars both become int lists / ints
+    # list keys become int lists, every other key one int; a comma string
+    # is a list in either syntax
     norm: dict = {}
     for key, val in data.items():
         if isinstance(val, str):
-            parts = _int_list(val)
-            norm[key] = parts if "," in val or key in ("a", "b", "p", "e1", "e2", "ci") else parts[0]
-        elif isinstance(val, list):
-            norm[key] = [int(x) for x in val]
+            items = [part for part in val.split(",") if part.strip()]
+        elif isinstance(val, list) or key not in _LIST_KEYS:
+            items = val if isinstance(val, list) else [val]
         else:
-            norm[key] = int(val)
+            raise ValueError(f"{key} must be a list of integers, got {val!r}")
+        try:
+            ints = [int(x) for x in items]
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must hold integers, got {val!r}") from None
+        if key in _LIST_KEYS:
+            norm[key] = ints
+        elif len(ints) == 1:
+            norm[key] = ints[0]
+        else:
+            raise ValueError(f"{key} must be one integer, got {val!r}")
     return norm
+
+
+def _require(cfg: dict, *keys: str) -> None:
+    missing = [key for key in keys if key not in cfg]
+    if missing:
+        raise ValueError(f"config is missing {', '.join(missing)}")
 
 
 def _cmd_predict(args) -> int:
     out = _out_dir(args)
     cfg = _parse_predict_config(Path(args.spec).read_text())
     if "a" in cfg and "b" in cfg:
+        _require(cfg, "n")
         spec = TwistSpec(
             a=tuple(cfg["a"]),
             b=tuple(cfg["b"]),
-            n=int(cfg["n"]),
+            n=cfg["n"],
             p=tuple(cfg.get("p", [0])),
         )
         chern = chern_coefficients(spec)
@@ -399,13 +410,14 @@ def _cmd_predict(args) -> int:
             "shape": shape.lines(),
         }
     elif "e1" in cfg and "e2" in cfg:
+        _require(cfg, "ci", "l", "d")
         spec = GenBRSpec(
             e1=tuple(cfg["e1"]),
             e2=tuple(cfg["e2"]),
             ci_degrees=tuple(cfg["ci"]),
-            ell=int(cfg["l"]),
-            d=int(cfg["d"]),
-            n=int(cfg.get("n", 3)),
+            ell=cfg["l"],
+            d=cfg["d"],
+            n=cfg.get("n", 3),
         )
         shape = expected_resolution_aci(spec)
         print(f"// b = {spec.b}")
@@ -435,13 +447,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_link(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     phi = read_matrix(args.phi)
     IV = read_ideal(args.ideal, ring=phi.ring)
     print(f"// seed = {args.seed}")
     rng = Rng(args.seed)
-    rec = gorenstein_link(phi, IV, args.deg, rng, log=log)
+    rec = gorenstein_link(phi, IV, args.deg, rng)
     print(f"// h(section) = {list(rec.section_report.second_series)}")
     print(f"// h(X) = {list(rec.gorenstein_report.second_series)}")
     print(f"// residual generators: {len(rec.residual.gens)}")
@@ -475,14 +486,13 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_genbr(args) -> int:
-    log = _logger(args)
     out = _out_dir(args)
     IG = read_ideal(args.gorenstein)
     if len(args.ci) != 3:
         raise ValueError("--ci needs exactly three degrees")
     print(f"// seed = {args.seed}")
     rng = Rng(args.seed)
-    run = generalized_br_run(IG, tuple(args.ci), args.d, rng, log=log)
+    run = generalized_br_run(IG, tuple(args.ci), args.d, rng)
     if args.l is not None and run.spec.ell != args.l:
         print(
             f"forge genbr: the base resolution gives l = {run.spec.ell},"
@@ -610,7 +620,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with recording(_print_note if args.protocol else None):
+            return args.fn(args)
     except ConstructionError as exc:
         print(f"forge {args.command}: {exc}", file=sys.stderr)
         return 2

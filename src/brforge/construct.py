@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chern import ChernReport, ExpectedShape, TwistSpec, chern_coefficients, expected_resolution
 from .hilbert import HilbertReport, hilbert_report
 from .ideals import ConstructionError, Ideal, affine_dimension, top_dimensional_part
 from .poly import FreeModuleElement, Polynomial, PolyRing
+from .protocol import note, recording
 from .resolution import (
     BettiTable,
     GorensteinCertificate,
@@ -115,7 +116,7 @@ def construction_matrix(ring: PolyRing, spec: ConstructionSpec, rng: Rng) -> Gra
     )
 
 
-def minors_ideal(M: GradedMatrix, size: int, *, log=None) -> Ideal:
+def minors_ideal(M: GradedMatrix, size: int) -> Ideal:
     """Ideal of all size x size minors (Laplace expansion, memoized)."""
     if size < 1 or size > min(M.rows, M.cols):
         raise ValueError(f"no {size}x{size} minors in a {M.rows}x{M.cols} matrix")
@@ -148,8 +149,7 @@ def minors_ideal(M: GradedMatrix, size: int, *, log=None) -> Ideal:
         for rs in combinations(range(M.rows), size)
         for cs in combinations(range(M.cols), size)
     ]
-    if log:
-        log(f"{len(gens)} minors of size {size}")
+    note(f"{len(gens)} minors of size {size}")
     return Ideal(ring, gens)
 
 
@@ -196,7 +196,7 @@ def pfaffian(M: GradedMatrix, indices: Optional[Sequence[int]] = None) -> Polyno
     return pf(idx)
 
 
-def pfaffian_ideal(M: GradedMatrix, *, log=None) -> Ideal:
+def pfaffian_ideal(M: GradedMatrix) -> Ideal:
     """Ideal of maximal (size - 1) pfaffians of an odd skew matrix."""
     _check_skew(M)
     if M.rows % 2 == 0:
@@ -206,20 +206,19 @@ def pfaffian_ideal(M: GradedMatrix, *, log=None) -> Ideal:
     for drop in all_idx:
         idx = tuple(i for i in all_idx if i != drop)
         gens.append(pfaffian(M, idx))
-    if log:
-        log(f"{len(gens)} maximal pfaffians")
+    note(f"{len(gens)} maximal pfaffians")
     return Ideal(M.ring, gens)
 
 
-def check_expected_codim(M: GradedMatrix, t: int, r: int, *, log=None) -> bool:
+def check_expected_codim(M: GradedMatrix, t: int, r: int) -> bool:
     """True when the t x t minors cut codimension exactly r + 1 (the expected
     codimension of the degeneracy locus of a t x (t+r) matrix)."""
-    I = minors_ideal(M, t)
+    with recording(None):
+        I = minors_ideal(M, t)
     if I.is_zero():
         return False
     codim = M.ring.nvars - affine_dimension(I)
-    if log:
-        log(f"maximal minors cut codimension {codim} (expected {r + 1})")
+    note(f"maximal minors cut codimension {codim} (expected {r + 1})")
     return codim == r + 1
 
 
@@ -241,7 +240,7 @@ class SectionResult:
 _DRAWS = 64
 
 
-def combine_columns(M: GradedMatrix, degree: int, rng: Rng, *, log=None) -> SectionResult:
+def combine_columns(M: GradedMatrix, degree: int, rng: Rng) -> SectionResult:
     """Random combination of the columns of M with sparse coefficient forms
     at the given uniform module twist; columns too large to contribute get
     zero coefficients.  An all-zero draw is retried, up to _DRAWS draws in
@@ -257,8 +256,7 @@ def combine_columns(M: GradedMatrix, degree: int, rng: Rng, *, log=None) -> Sect
             coeffs.append(ring.sparse_form(rel, rng) if rel >= 0 else ring.zero)
         vec = M.apply_to(coeffs)
         if not vec.is_zero():
-            if log:
-                log(f"section of degree {degree} on attempt {attempt + 1}")
+            note(f"section of degree {degree} on attempt {attempt + 1}")
             return SectionResult(
                 vector=vec,
                 degree=degree,
@@ -268,7 +266,7 @@ def combine_columns(M: GradedMatrix, degree: int, rng: Rng, *, log=None) -> Sect
     raise ConstructionError(f"sections of degree {degree} all vanished after {_DRAWS} draws")
 
 
-def section(M: GradedMatrix, d: int, rng: Rng, *, log=None) -> SectionResult:
+def section(M: GradedMatrix, d: int, rng: Rng) -> SectionResult:
     """Random section of the kernel of M, at degree d above the smallest
     kernel twist.
 
@@ -279,14 +277,13 @@ def section(M: GradedMatrix, d: int, rng: Rng, *, log=None) -> SectionResult:
     affine dimension nvars - (cols - rows); an empty locus therefore reads
     as not regular.
     """
-    B = syzygy_matrix(M, log=log)
+    B = syzygy_matrix(M)
     if B.cols == 0:
         raise ConstructionError("the matrix has no kernel to section")
-    result = combine_columns(B, d + min(B.col_twists), rng, log=log)
+    result = combine_columns(B, d + min(B.col_twists), rng)
     r = M.cols - M.rows
     dim = affine_dimension(result.ideal)
-    if log:
-        log(f"vanishing locus has affine dimension {dim} (regular means {M.ring.nvars - r})")
+    note(f"vanishing locus has affine dimension {dim} (regular means {M.ring.nvars - r})")
     return replace(result, regular=dim == M.ring.nvars - r)
 
 
@@ -314,17 +311,12 @@ def kernel_section_run(
     rng: Rng,
     *,
     matrix: Optional[GradedMatrix] = None,
-    log: Optional[Callable[[str], None]] = None,
 ) -> KernelSectionRun:
     if ring.n != spec.n:
         raise ValueError("ring and construction dimensions differ")
     if matrix is None:
         M = construction_matrix(ring, spec, rng)
-        if log:
-            log(
-                f"drew {spec.t}x{spec.t + spec.r} matrix"
-                f" with entries of degree {spec.entry_degree}"
-            )
+        note(f"drew {spec.t}x{spec.t + spec.r} matrix with entries of degree {spec.entry_degree}")
     else:
         M = matrix
         if M.ring != ring or M.rows != spec.t or M.cols != spec.t + spec.r:
@@ -332,15 +324,13 @@ def kernel_section_run(
         degrees = {ct - rt for rt in M.row_twists for ct in M.col_twists}
         if degrees != {spec.entry_degree}:
             raise ValueError("supplied matrix entries have the wrong degree")
-        if log:
-            log(f"using the supplied {M.rows}x{M.cols} matrix")
-    if not check_expected_codim(M, spec.t, spec.r, log=log):
+        note(f"using the supplied {M.rows}x{M.cols} matrix")
+    if not check_expected_codim(M, spec.t, spec.r):
         raise ConstructionError(
             "maximal minors miss the expected codimension; rerun with a new seed"
         )
-    B = syzygy_matrix(M, log=log)
-    if log:
-        log(f"kernel has {B.cols} generators of degrees {sorted(set(B.col_twists))}")
+    B = syzygy_matrix(M)
+    note(f"kernel has {B.cols} generators of degrees {sorted(set(B.col_twists))}")
     nvars = ring.nvars
     D = spec.section_twist
     last_error: Optional[str] = None
@@ -348,12 +338,12 @@ def kernel_section_run(
         # several draws at the same degree before conceding it is too small:
         # escalating changes every predicted invariant, a redraw does not
         for _ in range(4):
-            sec = combine_columns(B, D + escalation, rng, log=log)
+            sec = combine_columns(B, D + escalation, rng)
             dim = affine_dimension(sec.ideal)
             if dim == nvars - spec.r:
-                if log and escalation:
-                    log(f"section degree escalated {escalation} time(s)")
-                top = top_dimensional_part(sec.ideal, spec.r, rng, log=log)
+                if escalation:
+                    note(f"section degree escalated {escalation} time(s)")
+                top = top_dimensional_part(sec.ideal, spec.r, rng)
                 sec = replace(sec, regular=True, top=top)
                 return KernelSectionRun(
                     spec=spec,
@@ -368,8 +358,7 @@ def kernel_section_run(
                 f"vanishing locus has affine dimension {dim},"
                 f" expected {nvars - spec.r}"
             )
-            if log:
-                log(f"section of degree {D + escalation} not regular: {last_error}")
+            note(f"section of degree {D + escalation} not regular: {last_error}")
     raise ConstructionError(f"no regular section found: {last_error}")
 
 
@@ -416,7 +405,6 @@ def verify_construction(
     twists: TwistSpec,
     *,
     resolution: Optional[Resolution] = None,
-    log=None,
 ) -> ConstructionReport:
     """Compare the constructed ideal's invariants against the predictions
     carried by the twist data alone (KernelSectionRun.twist_data for a
@@ -424,9 +412,9 @@ def verify_construction(
     chern = chern_coefficients(twists)
     shape = expected_resolution(twists)
     rep = hilbert_report(I)
-    res = resolution if resolution is not None else free_resolution(I, log=log)
+    res = resolution if resolution is not None else free_resolution(I)
     if not res.is_minimal():
-        res = res.minimize(log=log)
+        res = res.minimize()
     betti = res.betti()
     cert = gorenstein_certificate(I, resolution=res)
     return ConstructionReport(

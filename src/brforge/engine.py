@@ -25,8 +25,9 @@ makes degree-truncated runs sound.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
+from .protocol import note
 from .ring import (
     MAX_DEGREE,
     MAX_RANK,
@@ -391,11 +392,7 @@ def tracked_intersection(
 
 
 def tracked_syzygies(
-    columns: Sequence[Vec],
-    p: int,
-    ambient_twists: Sequence[int],
-    *,
-    log: Optional[Callable[[str], None]] = None,
+    columns: Sequence[Vec], p: int, ambient_twists: Sequence[int]
 ) -> list[Vec]:
     """Generators of the syzygy module of the given columns.
 
@@ -417,10 +414,8 @@ def tracked_syzygies(
         gb.add(dict(col), {-idx: 1})
     gb.complete()
     syz.extend(gb.emitted)
-    if log:
-        log(f"syzygy pass: {len(gb.elts)} basis elements, {len(syz)} raw relations")
+    note(f"syzygy pass: {len(gb.elts)} basis elements, {len(syz)} raw relations")
     keep = minimal_generating_subset(syz, p, col_degrees)
     out = [syz[i] for i in keep]
-    if log:
-        log(f"pruned to {len(out)} minimal relations")
+    note(f"pruned to {len(out)} minimal relations")
     return out

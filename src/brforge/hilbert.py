@@ -9,7 +9,7 @@ series (the h-vector).  Everything here is integer list arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import factorial, prod
 from typing import Optional, Sequence
 
 from .ideals import Ideal
@@ -19,9 +19,6 @@ __all__ = [
     "hilbert_numerator",
     "hilbert_report",
     "hilbert_function_values",
-    "hilbert_polynomial_value",
-    "h_vector_checks",
-    "HVectorChecks",
 ]
 
 
@@ -174,6 +171,11 @@ class HilbertReport:
         return d
 
 
+def _binomial(x: int, k: int) -> int:
+    """binom(x, k) for any integer x: x (x-1) ... (x-k+1) / k!."""
+    return prod(range(x - k + 1, x + 1)) // factorial(k)
+
+
 def hilbert_report(I: Ideal) -> HilbertReport:
     nvars = I.ring.nvars
     q = hilbert_numerator(I.leading_exponents(), nvars) if not I.is_zero() else [1]
@@ -185,10 +187,10 @@ def hilbert_report(I: Ideal) -> HilbertReport:
     degree = sum(h)
     genus: Optional[int] = None
     if dim >= 2:
-        # p_a = (-1)^(dim-1) (HP(0) - 1) with HP the Hilbert polynomial
-        hp0 = hilbert_polynomial_value(tuple(h), dim, 0)
-        genus_f = (-1) ** (dim - 1) * (hp0 - 1)
-        genus = int(genus_f)
+        # p_a = (-1)^(dim-1) (HP(0) - 1) with HP the Hilbert polynomial,
+        # HP(m) = sum_i h_i binom(m - i + dim - 1, dim - 1)
+        hp0 = sum(hi * _binomial(dim - 1 - i, dim - 1) for i, hi in enumerate(h))
+        genus = (-1) ** (dim - 1) * (hp0 - 1)
     return HilbertReport(
         characteristic=I.ring.p,
         nvars=nvars,
@@ -199,26 +201,6 @@ def hilbert_report(I: Ideal) -> HilbertReport:
         degree=degree,
         arithmetic_genus=genus,
     )
-
-
-def hilbert_polynomial_value(h: Sequence[int], affine_dim: int, m: int) -> int:
-    """Value at m of the Hilbert polynomial determined by the h-vector:
-    HP(m) = sum_i h_i * binom(m - i + D - 1, D - 1) with D the affine dim."""
-    if affine_dim <= 0:
-        return 0
-    k = affine_dim - 1
-    total = Fraction(0)
-    for i, hi in enumerate(h):
-        x = m - i + affine_dim - 1
-        num = Fraction(1)
-        for j in range(k):
-            num *= Fraction(x - j)
-        for j in range(1, k + 1):
-            num /= j
-        total += hi * num
-    if total.denominator != 1:
-        raise ArithmeticError("Hilbert polynomial value not integral")
-    return int(total)
 
 
 def hilbert_function_values(report: HilbertReport, upto: int) -> list[int]:
@@ -241,19 +223,3 @@ def hilbert_function_values(report: HilbertReport, upto: int) -> list[int]:
             v += c * inv[d - i]
         out.append(v)
     return out
-
-
-@dataclass(frozen=True)
-class HVectorChecks:
-    symmetric: bool
-    positive: bool
-    total: int
-
-
-def h_vector_checks(h: Sequence[int]) -> HVectorChecks:
-    hs = tuple(h)
-    return HVectorChecks(
-        symmetric=hs == hs[::-1],
-        positive=all(c > 0 for c in hs) and bool(hs),
-        total=sum(hs),
-    )

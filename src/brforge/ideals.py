@@ -8,21 +8,20 @@ pairs provably emit nothing, so only cross pairs are reduced.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .engine import ModuleGB, Vec, minimal_generating_subset, tracked_intersection
 from .poly import Polynomial, PolyRing
+from .protocol import note, recording
 from .ring import Rng
 
 __all__ = [
     "ConstructionError",
     "InvariantError",
     "Ideal",
-    "normal_form",
     "ideal_quotient",
     "ideal_intersection",
     "ideal_product",
-    "ideal_sum",
     "saturation",
     "affine_dimension",
     "top_dimensional_part",
@@ -130,23 +129,6 @@ class Ideal:
         return f"Ideal({len(self.gens)} gens over {self.ring!r})"
 
 
-def normal_form(f: Polynomial, G: Ideal | Sequence[Polynomial]) -> Polynomial:
-    """Remainder of f under full division by G (an Ideal uses its basis;
-    a plain list is divided by as given, no completion)."""
-    if isinstance(G, Ideal):
-        return G.normal_form(f)
-    ring = f.ring
-    gb = ModuleGB(ring.p, (0,))
-    for g in G:
-        if not g.is_zero():
-            gb.add(poly_to_vec(g), block=0)
-    return vec_to_poly(ring, gb.normal_form(poly_to_vec(f)))
-
-
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(I.ring, I.gens + J.gens)
-
-
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     return Ideal(I.ring, tuple(f * g for f in I.gens for g in J.gens))
 
@@ -170,9 +152,7 @@ def _essential_targets(I: Ideal, targets: Sequence[Polynomial]) -> list[Polynomi
     return [targets[i] for i in sorted(kept)]
 
 
-def _seeded_quotient(
-    I: Ideal, targets: Sequence[Polynomial], log: Optional[Callable[[str], None]] = None
-) -> Ideal:
+def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     """(I : (targets)) via one tracked pass on the essential targets: the
     module generated by I x R^m together with the single column (targets),
     tracking the scalar cofactor of that column.  Zero reductions emit
@@ -199,8 +179,7 @@ def _seeded_quotient(
         target_vec.update(poly_to_vec(g, comp))
     gb.add(target_vec, {0: 1})  # tracks the scalar cofactor 1 of the targets
     gb.complete()
-    if log:
-        log(f"quotient pass emitted {len(gb.emitted)} candidates")
+    note(f"quotient pass emitted {len(gb.emitted)} candidates")
     vals = [poly_to_vec(f) for f in I.gens] if m == 1 else []
     vals.extend(v for v in gb.emitted if v)
     keep = minimal_generating_subset(vals, p, (0,))
@@ -210,7 +189,7 @@ def _seeded_quotient(
     return out
 
 
-def ideal_quotient(I: Ideal, J: Ideal | Polynomial, *, log=None) -> Ideal:
+def ideal_quotient(I: Ideal, J: Ideal | Polynomial) -> Ideal:
     """The ideal (I : J) = {h : h*J inside I}."""
     if isinstance(J, Polynomial):
         targets: tuple[Polynomial, ...] = (J,) if not J.is_zero() else ()
@@ -222,10 +201,10 @@ def ideal_quotient(I: Ideal, J: Ideal | Polynomial, *, log=None) -> Ideal:
         return Ideal(I.ring, [I.ring.one])
     if I.is_zero():
         return Ideal(I.ring, [])
-    return _seeded_quotient(I, targets, log)
+    return _seeded_quotient(I, targets)
 
 
-def ideal_intersection(I: Ideal, J: Ideal, *, log=None) -> Ideal:
+def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """Elements lying in both ideals, from a tracked intersection pass
     seeded with both reduced bases."""
     if I.ring != J.ring:
@@ -239,13 +218,12 @@ def ideal_intersection(I: Ideal, J: Ideal, *, log=None) -> Ideal:
         ring.p,
         (0,),
     )
-    if log:
-        log(f"intersection pass emitted {len(vals)} candidates")
+    note(f"intersection pass emitted {len(vals)} candidates")
     keep = minimal_generating_subset(vals, ring.p, (0,))
     return Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
 
 
-def saturation(I: Ideal, *, log=None) -> Ideal:
+def saturation(I: Ideal) -> Ideal:
     """Saturation with respect to the irrelevant maximal ideal.
 
     An element lands in the saturation exactly when every variable kills it
@@ -261,19 +239,19 @@ def saturation(I: Ideal, *, log=None) -> Ideal:
     for v in ring.variables():
         current = I
         steps = 0
-        while True:
-            bigger = ideal_quotient(current, v)
-            if all(current.contains(q) for q in bigger.gens):
-                break
-            current = bigger
-            steps += 1
-            if steps > 60:
-                raise InvariantError("saturation failed to stabilize")
-        if log and steps:
-            log(f"saturation by {v} stabilized after {steps} quotients")
-        result = current if result is None else ideal_intersection(result, current)
-    if log:
-        log(f"saturation: {len(result.gens)} generators")
+        with recording(None):
+            while True:
+                bigger = ideal_quotient(current, v)
+                if all(current.contains(q) for q in bigger.gens):
+                    break
+                current = bigger
+                steps += 1
+                if steps > 60:
+                    raise InvariantError("saturation failed to stabilize")
+            result = current if result is None else ideal_intersection(result, current)
+        if steps:
+            note(f"saturation by {v} stabilized after {steps} quotients")
+    note(f"saturation: {len(result.gens)} generators")
     return result
 
 
@@ -305,7 +283,7 @@ def affine_dimension(I: Ideal) -> int:
     return best
 
 
-def top_dimensional_part(I: Ideal, r: int, rng: Rng, *, log=None) -> Ideal:
+def top_dimensional_part(I: Ideal, r: int, rng: Rng) -> Ideal:
     """The intersection of the codimension-r primary components.
 
     Picks r random forms inside I, checks they cut codimension r, and
@@ -335,12 +313,11 @@ def top_dimensional_part(I: Ideal, r: int, rng: Rng, *, log=None) -> Ideal:
             J = Ideal(ring, combos)
             if J.affine_dimension() != nvars - r:
                 continue
-            if log:
-                log(f"top part: cut with {r} forms of degree {degree} (attempt {attempt + 1})")
-            link = ideal_quotient(J, I)
-            return ideal_quotient(J, link)
-        if log:
-            log(f"top part: all draws at degree {degree} degenerate, raising degree")
+            note(f"top part: cut with {r} forms of degree {degree} (attempt {attempt + 1})")
+            with recording(None):
+                link = ideal_quotient(J, I)
+                return ideal_quotient(J, link)
+        note(f"top part: all draws at degree {degree} degenerate, raising degree")
     raise ConstructionError(
         f"no regular sequence of length {r} found in the ideal after escalation"
     )

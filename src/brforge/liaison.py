@@ -12,7 +12,7 @@ and section the kernel of V's minimal generator row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .chern import ExpectedShape, GenBRSpec, expected_resolution_aci
 from .engine import ModuleGB, minimal_generating_subset, tracked_intersection, vec_degree
@@ -35,6 +35,7 @@ from .resolution import (
     syzygy_matrix,
 )
 from .construct import SectionResult, combine_columns
+from .protocol import note
 from .ring import Rng
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 
-def module_intersection(B: GradedMatrix, C: GradedMatrix, *, log=None) -> GradedMatrix:
+def module_intersection(B: GradedMatrix, C: GradedMatrix) -> GradedMatrix:
     """Generators of (column span of B) meet (column span of C), as columns.
 
     Both bases are completed separately, then a tracked intersection pass
@@ -72,8 +73,7 @@ def module_intersection(B: GradedMatrix, C: GradedMatrix, *, log=None) -> Graded
     if not basis_b or not basis_c:
         return GradedMatrix.from_columns(ring, twists, [], [])
     vals = tracked_intersection(basis_b, basis_c, p, twists)
-    if log:
-        log(f"module intersection emitted {len(vals)} candidates")
+    note(f"module intersection emitted {len(vals)} candidates")
     keep = minimal_generating_subset(vals, p, twists)
     cols = [vals[i] for i in keep]
     degs = [vec_degree(v, twists) for v in cols]
@@ -83,9 +83,7 @@ def module_intersection(B: GradedMatrix, C: GradedMatrix, *, log=None) -> Graded
     )
 
 
-def common_section(
-    phi: GradedMatrix, IV: Ideal, d: int, rng: Rng, *, log=None
-) -> SectionResult:
+def common_section(phi: GradedMatrix, IV: Ideal, d: int, rng: Rng) -> SectionResult:
     """A random section of the kernel of phi whose entries vanish on V.
 
     Intersects the kernel with I_V times the ambient free module and
@@ -93,7 +91,7 @@ def common_section(
     sits at that smallest twist, so a nonzero section exists there.
     """
     ring = phi.ring
-    B = syzygy_matrix(phi, log=log)
+    B = syzygy_matrix(phi)
     if B.cols == 0:
         raise ConstructionError("the matrix has no kernel to section")
     cvecs = []
@@ -103,12 +101,11 @@ def common_section(
             cvecs.append(poly_to_vec(g, comp))
             cdegs.append(g.degree() + tw)
     C = GradedMatrix.from_columns(ring, phi.col_twists, cvecs, cdegs)
-    D = module_intersection(B, C, log=log)
+    D = module_intersection(B, C)
     if D.cols == 0:
         raise ConstructionError("kernel meets the subscheme module only in zero")
-    if log:
-        log(f"common sections exist from degree {min(D.col_twists)}")
-    sec = combine_columns(D, min(D.col_twists) + d, rng, log=log)
+    note(f"common sections exist from degree {min(D.col_twists)}")
+    sec = combine_columns(D, min(D.col_twists) + d, rng)
     for e in sec.vector.entries:
         if not IV.contains(e):
             raise InvariantError("section entry escaped the subscheme ideal")
@@ -131,27 +128,19 @@ class LinkRecord:
     residual_report: HilbertReport
 
 
-def gorenstein_link(
-    phi: GradedMatrix,
-    IV: Ideal,
-    d: int,
-    rng: Rng,
-    *,
-    log: Optional[Callable[[str], None]] = None,
-) -> LinkRecord:
+def gorenstein_link(phi: GradedMatrix, IV: Ideal, d: int, rng: Rng) -> LinkRecord:
     """Link V: section the kernel of phi through V, certify the section's
     top-dimensional part arithmetically Gorenstein, and return the residual."""
     codim = IV.codimension()
-    sec = common_section(phi, IV, d, rng, log=log)
-    sat = saturation(sec.ideal, log=log)
-    X = top_dimensional_part(sat, codim, rng, log=log)
+    sec = common_section(phi, IV, d, rng)
+    sat = saturation(sec.ideal)
+    X = top_dimensional_part(sat, codim, rng)
     if not IV.contains_ideal(X):
         raise InvariantError("the linking scheme does not contain V")
-    res = free_resolution(X, log=log)
+    res = free_resolution(X)
     cert = gorenstein_certificate(X, resolution=res)
-    residual = ideal_quotient(X, IV, log=log)
-    if log:
-        log(f"residual has {len(residual.gens)} generators")
+    residual = ideal_quotient(X, IV)
+    note(f"residual has {len(residual.gens)} generators")
     return LinkRecord(
         section=sec,
         section_saturated=sat,
@@ -196,14 +185,7 @@ class GenBRRun:
         return self.ghost_cancellations is not None
 
 
-def generalized_br_run(
-    IG: Ideal,
-    ci_degrees: Sequence[int],
-    d: int,
-    rng: Rng,
-    *,
-    log: Optional[Callable[[str], None]] = None,
-) -> GenBRRun:
+def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -> GenBRRun:
     """Generalized kernel-section run over a codimension-3 arithmetically
     Gorenstein ideal: link by a random complete intersection of the given
     degrees, section the kernel of the linked ideal's generator row at
@@ -213,9 +195,9 @@ def generalized_br_run(
     ring = IG.ring
     if len(ci_degrees) != 3:
         raise ValueError("exactly three complete intersection degrees required")
-    if ring.n != 3 and log:
-        log(f"ambient dimension {ring.n}: shape predictions only verified for n = 3")
-    res_g = free_resolution(IG, log=log)
+    if ring.n != 3:
+        note(f"ambient dimension {ring.n}: shape predictions only verified for n = 3")
+    res_g = free_resolution(IG)
     cert_g = gorenstein_certificate(IG, resolution=res_g)
     if not cert_g.arithmetically_gorenstein or cert_g.codimension != 3:
         raise ConstructionError("base ideal is not codimension-3 arithmetically Gorenstein")
@@ -223,18 +205,17 @@ def generalized_br_run(
     e2 = res_g.twists[1]
     last_degree = res_g.twists[2][0]
     ell = ring.n + 1 - last_degree
-    ci = _random_complete_intersection(IG, ci_degrees, rng, log=log)
-    linked = ideal_quotient(ci, IG, log=log)
-    res_v = free_resolution(linked, log=log)
-    if log:
-        log(f"linked ideal has {len(linked.gens)} minimal generators")
+    ci = _random_complete_intersection(IG, ci_degrees, rng)
+    linked = ideal_quotient(ci, IG)
+    res_v = free_resolution(linked)
+    note(f"linked ideal has {len(linked.gens)} minimal generators")
     phi = GradedMatrix(
         ring,
         [list(linked.gens)],
         (0,),
         tuple(g.degree() for g in linked.gens),
     )
-    B = syzygy_matrix(phi, log=log)
+    B = syzygy_matrix(phi)
     spec = GenBRSpec(
         e1=tuple(e1),
         e2=tuple(e2),
@@ -245,17 +226,16 @@ def generalized_br_run(
     )
     sec: Optional[SectionResult] = None
     for _ in range(5):
-        cand = combine_columns(B, d, rng, log=log)
+        cand = combine_columns(B, d, rng)
         if cand.ideal.affine_dimension() == ring.nvars - 3:
             sec = replace(cand, regular=True)
             break
-        if log:
-            log("section not regular, redrawing")
+        note("section not regular, redrawing")
     if sec is None:
         raise ConstructionError("no regular section of the kernel in the target degree")
-    top = top_dimensional_part(sec.ideal, 3, rng, log=log)
+    top = top_dimensional_part(sec.ideal, 3, rng)
     sec = replace(sec, top=top)
-    res_x = free_resolution(top, log=log)
+    res_x = free_resolution(top)
     betti = res_x.betti()
     gen_degrees = tuple(sorted(res_x.twists[0]))
     expected_type = tuple(sorted([d - dk for dk in ci_degrees] + [spec.b - d]))
@@ -266,13 +246,12 @@ def generalized_br_run(
         )
     shape = expected_resolution_aci(spec)
     ghosts = shape.ghost_difference(betti.as_dict())
-    if log:
-        if ghosts is None:
-            log("computed resolution does NOT fit the predicted shape")
-        elif ghosts:
-            log(f"predicted shape matches after cancelling {sum(ghosts.values())} ghost pair(s)")
-        else:
-            log("predicted shape matches exactly")
+    if ghosts is None:
+        note("computed resolution does NOT fit the predicted shape")
+    elif ghosts:
+        note(f"predicted shape matches after cancelling {sum(ghosts.values())} ghost pair(s)")
+    else:
+        note("predicted shape matches exactly")
     return GenBRRun(
         base_certificate=cert_g,
         base_betti=res_g.betti(),
@@ -290,9 +269,7 @@ def generalized_br_run(
     )
 
 
-def _random_complete_intersection(
-    IG: Ideal, degrees: Sequence[int], rng: Rng, *, log=None
-) -> Ideal:
+def _random_complete_intersection(IG: Ideal, degrees: Sequence[int], rng: Rng) -> Ideal:
     ring = IG.ring
     for attempt in range(20):
         forms = []
@@ -307,8 +284,7 @@ def _random_complete_intersection(
             continue
         ci = Ideal(ring, forms)
         if ci.codimension() == len(degrees):
-            if log:
-                log(f"complete intersection of type {tuple(degrees)} on attempt {attempt + 1}")
+            note(f"complete intersection of type {tuple(degrees)} on attempt {attempt + 1}")
             return ci
     raise ConstructionError(
         f"no complete intersection of type {tuple(degrees)} found in 20 draws"

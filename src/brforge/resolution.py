@@ -15,12 +15,13 @@ and the generator row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .engine import ModuleGB, Vec, tracked_syzygies, vec_degree
 from .hilbert import hilbert_report
 from .ideals import Ideal, InvariantError, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
+from .protocol import note
 from .ring import COMP_BITS, frame_unit, key_component, key_degree
 
 __all__ = [
@@ -235,7 +236,7 @@ class Resolution:
         chain = " <- ".join(self.step_description(k) for k in range(len(self.twists)))
         return f"R <- {chain} <- 0"
 
-    def minimize(self, *, log: Optional[Callable[[str], None]] = None) -> "Resolution":
+    def minimize(self) -> "Resolution":
         """Cancel unit entries until none remain, propagating the induced
         column/row operations to the neighbouring matrices and generators."""
         ring = self.ring
@@ -302,8 +303,8 @@ class Resolution:
             mats.pop()
         if any(not t for t in twists):
             raise InvariantError("interior stage collapsed during minimization")
-        if log and cancelled:
-            log(f"minimization cancelled {cancelled} unit pairs")
+        if cancelled:
+            note(f"minimization cancelled {cancelled} unit pairs")
         out_mats = [
             GradedMatrix(ring, mats[k], twists[k], twists[k + 1]) for k in range(len(mats))
         ]
@@ -313,10 +314,10 @@ class Resolution:
         return res
 
 
-def syzygy_matrix(M: GradedMatrix, *, log=None) -> GradedMatrix:
+def syzygy_matrix(M: GradedMatrix) -> GradedMatrix:
     """Minimal generators of the column syzygies, as a graded matrix."""
     ring = M.ring
-    syz = tracked_syzygies(M.columns(), ring.p, M.row_twists, log=log)
+    syz = tracked_syzygies(M.columns(), ring.p, M.row_twists)
     degs = [vec_degree(s, M.col_twists) for s in syz]
     return GradedMatrix.from_columns(ring, M.col_twists, syz, degs)
 
@@ -378,9 +379,7 @@ def _unframe(vec: Vec, shift: int, units: Sequence[int]) -> Vec:
     return out
 
 
-def free_resolution(
-    I: Ideal, *, minimize: bool = True, log: Optional[Callable[[str], None]] = None
-) -> Resolution:
+def free_resolution(I: Ideal, *, minimize: bool = True) -> Resolution:
     """Stepwise free resolution of the ideal's generators, one tracked pass
     per stage.
 
@@ -402,27 +401,23 @@ def free_resolution(
     matrices: list[GradedMatrix] = []
     shift = COMP_BITS
     while True:
-        if log:
-            log(f"syzygy pass: {size} basis elements, {len(raw)} raw relations")
+        note(f"syzygy pass: {size} basis elements, {len(raw)} raw relations")
         if not raw:
-            if log:
-                log("pruned to 0 minimal relations")
+            note("pruned to 0 minimal relations")
             break
         cols, degs, next_units, raw, size = _stage_pass(ring.p, len(units), shift, raw, True)
-        if log:
-            log(f"pruned to {len(cols)} minimal relations")
+        note(f"pruned to {len(cols)} minimal relations")
         cols = [_unframe(c, shift, units) for c in cols]
         matrices.append(GradedMatrix.from_columns(ring, tuple(twists[-1]), cols, degs))
         twists.append(degs)
-        if log:
-            log(f"stage {len(matrices)}: {len(degs)} syzygies, degrees {sorted(set(degs))}")
+        note(f"stage {len(matrices)}: {len(degs)} syzygies, degrees {sorted(set(degs))}")
         if len(matrices) > ring.nvars + 1:
             raise InvariantError("resolution exceeded the global bound")
         units = next_units
         shift += COMP_BITS
     res = Resolution(ring, gens, twists, matrices)
     if minimize:
-        res = res.minimize(log=log)
+        res = res.minimize()
     return res
 
 
@@ -459,7 +454,7 @@ class GorensteinCertificate:
 
 
 def gorenstein_certificate(
-    I: Ideal, *, resolution: Optional[Resolution] = None, log=None
+    I: Ideal, *, resolution: Optional[Resolution] = None
 ) -> GorensteinCertificate:
     """Certificate for the arithmetically Gorenstein property of a saturated
     homogeneous ideal: Cohen-Macaulay (resolution length = codim - 1, since
@@ -467,9 +462,9 @@ def gorenstein_certificate(
     and a symmetric h-vector."""
     report = hilbert_report(I)
     codim = report.codimension
-    res = resolution if resolution is not None else free_resolution(I, log=log)
+    res = resolution if resolution is not None else free_resolution(I)
     if not res.is_minimal():
-        res = res.minimize(log=log)
+        res = res.minimize()
     length = res.length
     last_rank = len(res.twists[-1])
     h = report.second_series

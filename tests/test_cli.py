@@ -1,13 +1,15 @@
 """Command line driver: exit codes, JSON summaries, reproducibility."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from brforge.cli import main
 from brforge.ideals import Ideal, InvariantError
 from brforge.io import read_ideal, read_matrix, write_ideal, write_matrix
-from brforge.resolution import GradedMatrix
+from brforge.protocol import note, recording
+from brforge.resolution import GradedMatrix, free_resolution
 
 from conftest import fixture
 
@@ -169,6 +171,26 @@ class TestPredict:
         code, _, err = run(["predict", "--spec", str(path)], capsys)
         assert code == 1
         assert "config" in err
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("kernel.cfg", "a = 2,2,2,2\nb = 3\n", "config is missing n"),
+            ("kernel.json", '{"a": 3, "b": [2], "n": 3}', "a must be a list of integers, got 3"),
+            (
+                "aci.cfg",
+                "e1 = 2,2,2,2,2\ne2 = 3,3,3,3,3\nci = 3,3,3\nd = 6\n",
+                "config is missing l",
+            ),
+        ],
+    )
+    def test_malformed_config_fails_in_one_line(self, capsys, tmp_path, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(["predict", "--spec", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"forge predict: {message}\n"
 
 
 class TestSection:
@@ -506,6 +528,48 @@ class TestProtocol:
         check_layout(out)
         body = out.splitlines()
         assert any(line.startswith("// ") for line in body[:-1])
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["res", "--ideal", fixture("points5.id")], 0),
+            (["section", "--matrix", fixture("koszul_p3.mat"), "--deg", "0", "--seed", "1"], 2),
+            (["top", "--ideal", fixture("points5.id"), "--codim", "2", "--seed", "1"], 2),
+        ],
+        ids=["success", "refusal", "raised-refusal"],
+    )
+    def test_sink_does_not_outlive_main(self, capsys, argv, code):
+        assert run(argv + ["--protocol"], capsys)[0] == code
+        free_resolution(read_ideal(fixture("points5.id")))
+        assert capsys.readouterr().out == ""
+
+    def test_sink_does_not_outlive_a_broken_invariant(self, capsys, monkeypatch):
+        import brforge.cli
+
+        def broken(I, **kwargs):
+            note("resolving")
+            raise InvariantError("resolution exceeded the global bound")
+
+        monkeypatch.setattr(brforge.cli, "free_resolution", broken)
+        code, out, _ = run(["res", "--ideal", fixture("points5.id"), "--protocol"], capsys)
+        assert code == 3
+        assert out == "// resolving\n"
+        free_resolution(read_ideal(fixture("points5.id")))
+        assert capsys.readouterr().out == ""
+
+    def test_library_caller_records_the_protocol(self, capsys):
+        outer: list[str] = []
+        inner: list[str] = []
+        with recording(outer.append):
+            note("before")
+            with recording(inner.append):
+                free_resolution(read_ideal(fixture("points5.id")))
+            note("after")
+        assert outer == ["before", "after"]
+        golden = (Path(__file__).parent / "golden" / "res_points5_protocol.txt").read_text()
+        assert [f"// {line}\n" for line in inner] == golden.splitlines(True)[: len(inner)]
+        assert inner[0] == "syzygy pass: 6 basis elements, 9 raw relations"
+        assert capsys.readouterr().out == ""
 
     def test_unseeded_commands_are_stable(self, capsys):
         argv = ["res", "--ideal", fixture("points5.id"), "--minimal"]

@@ -30,6 +30,22 @@ CASES = {
         "link", "--phi", fixture("linear_row_p5.mat"), "--ideal", fixture("veronese.id"),
         "--deg", "0", "--seed", "5",
     ],
+    "section_koszul_p3_protocol": [
+        "section", "--matrix", fixture("koszul_p3.mat"), "--deg", "1", "--seed", "1", "--protocol",
+    ],
+    "top_points5_protocol": ["top", "--ideal", fixture("points5.id"), "--seed", "1", "--protocol"],
+    "link_veronese_seed5_protocol": [
+        "link", "--phi", fixture("linear_row_p5.mat"), "--ideal", fixture("veronese.id"),
+        "--deg", "0", "--seed", "5", "--protocol",
+    ],
+    "genbr_points5_seed1_protocol": [
+        "genbr", "--gorenstein", fixture("points5.id"), "--ci", "3,3,3", "--d", "6",
+        "--seed", "1", "--protocol",
+    ],
+    "minors_det_2x4_protocol": [
+        "minors", "--matrix", fixture("standard_det_2x4.mat"), "--size", "2", "--protocol",
+    ],
+    "pfaffians_skew5_protocol": ["pfaffians", "--matrix", fixture("skew5.mat"), "--protocol"],
 }
 
 

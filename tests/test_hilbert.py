@@ -2,13 +2,7 @@
 
 import pytest
 
-from brforge.hilbert import (
-    h_vector_checks,
-    hilbert_function_values,
-    hilbert_numerator,
-    hilbert_polynomial_value,
-    hilbert_report,
-)
+from brforge.hilbert import hilbert_function_values, hilbert_numerator, hilbert_report
 from brforge.ideals import Ideal
 from brforge.ring import Rng
 
@@ -102,15 +96,6 @@ class TestKnownSchemes:
 
 
 class TestHilbertPolynomial:
-    def test_twisted_cubic_values(self, ring3):
-        # HP(m) = 3m + 1
-        assert hilbert_polynomial_value((1, 2), 2, 0) == 1
-        assert hilbert_polynomial_value((1, 2), 2, 4) == 13
-
-    def test_points(self):
-        # zero-dimensional: HP is the constant degree
-        assert hilbert_polynomial_value((1, 3, 1), 1, 9) == 5
-
     def test_genus_of_plane_curve(self, ring2):
         # smooth plane quartic: genus 3
         rng = Rng(43)
@@ -118,11 +103,3 @@ class TestHilbertPolynomial:
         rep = hilbert_report(I)
         assert rep.degree == 4
         assert rep.arithmetic_genus == 3
-
-
-def test_h_vector_checks():
-    sym = h_vector_checks((1, 3, 1))
-    assert sym.symmetric and sym.positive and sym.total == 5
-    bad = h_vector_checks((1, 3, 2, -1))
-    assert not bad.symmetric and not bad.positive and bad.total == 5
-    assert not h_vector_checks(()).positive

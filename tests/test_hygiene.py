@@ -1,8 +1,11 @@
-"""Source hygiene: every name a module imports is used in it.
+"""Source hygiene, by AST scans of src/brforge/*.py.
 
-An AST scan of src/brforge/*.py (the package __init__ re-exports by design
-and is skipped).  A name counts as used when the module reads it, names it
-in a quoted annotation, or lists it in __all__.
+Every name a module imports is used in it (the package __init__ re-exports
+by design and is skipped).  A name counts as used when the module reads it,
+names it in a quoted annotation, or lists it in __all__.
+
+Progress goes through the protocol channel (brforge.protocol): no function
+takes a `log` callback, and only the command line module prints.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "brforge"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -75,3 +79,39 @@ def test_scan_flags_an_unused_import():
     )
     assert unused_imports(source) == ["Optional (line 1)"]
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def channel_faults(source: str, may_print: bool) -> list[str]:
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if arg is not None and arg.arg == "log":
+                    faults.append(f"parameter log (line {node.lineno})")
+        elif (
+            not may_print
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        ):
+            faults.append(f"print (line {node.lineno})")
+    return faults
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_progress_goes_through_the_channel(path):
+    assert channel_faults(path.read_text(), may_print=path.name == "cli.py") == []
+
+
+def test_scan_flags_log_parameters_and_prints():
+    source = "def f(x, *, log=None):\n    print(x)\ng = lambda log: 0\n"
+    assert channel_faults(source, may_print=False) == [
+        "parameter log (line 1)",
+        "parameter log (line 3)",
+        "print (line 2)",
+    ]
+    assert channel_faults(source, may_print=True) == [
+        "parameter log (line 1)",
+        "parameter log (line 3)",
+    ]
