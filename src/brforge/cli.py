@@ -358,10 +358,15 @@ def _parse_predict_config(text: str) -> dict:
             items = val if isinstance(val, list) else [val]
         else:
             raise ValueError(f"{key} must be a list of integers, got {val!r}")
+        # strings are parsed; JSON numbers must already be integers, so 3.9
+        # and true are refused rather than read as 3 and 1
+        error = f"{key} must hold integers, got {val!r}"
+        if not all(isinstance(x, str) or type(x) is int for x in items):
+            raise ValueError(error)
         try:
             ints = [int(x) for x in items]
-        except (TypeError, ValueError):
-            raise ValueError(f"{key} must hold integers, got {val!r}") from None
+        except ValueError:
+            raise ValueError(error) from None
         if key in _LIST_KEYS:
             norm[key] = ints
         elif len(ints) == 1:

@@ -203,23 +203,14 @@ def hilbert_report(I: Ideal) -> HilbertReport:
     )
 
 
-def hilbert_function_values(report: HilbertReport, upto: int) -> list[int]:
-    """Values of the Hilbert function of R/I in degrees 0..upto, from the
-    first series numerator expanded against 1/(1-t)^nvars."""
-    n = report.nvars
-    inv = [1] * (upto + 1)
-    for k in range(1, n):
+def hilbert_function_values(numerator: Sequence[int], nvars: int, upto: int) -> list[int]:
+    """Coefficients of t^0..t^upto in numerator(t) / (1-t)^nvars: with a
+    first series numerator, the Hilbert function of R/I in those degrees."""
+    out = [0] * (upto + 1)
+    out[: len(numerator)] = numerator[: upto + 1]
+    for _ in range(nvars):
         acc = 0
         for d in range(upto + 1):
-            acc += inv[d]
-            inv[d] = acc
-    out = []
-    q = report.first_series
-    for d in range(upto + 1):
-        v = 0
-        for i, c in enumerate(q):
-            if i > d:
-                break
-            v += c * inv[d - i]
-        out.append(v)
+            acc += out[d]
+            out[d] = acc
     return out

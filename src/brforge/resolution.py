@@ -10,19 +10,40 @@ the next pass.  The resolution of a minimally generated ideal therefore
 comes out minimal.  minimize() handles the general case by cancelling unit
 entries, carrying the induced operations into both neighbouring matrices
 and the generator row.
+
+Most raw relations are redundant, and a dimension count drops them without
+a reduction (Traverso's Hilbert-driven idea, on the pruning step of the
+stepwise Schreyer resolution).  Let F be the free module of the stage's
+columns and M their image, the module whose basis the pass before
+completed.  Every candidate lies in the syzygy module S = ker(F -> M), and
+F / S is isomorphic to M, so dim S_d = dim F_d - dim M_d.  Let N be the
+span of the candidates kept so far.  Once the pass's basis is complete
+through degree d it is a Groebner basis of N there, so dim F_d - dim N_d
+is the count of standard terms of degree d its lead terms leave.  The room
+in degree d, that count minus dim M_d, is therefore dim S_d - dim N_d.
+When it is zero, N_d = S_d and every candidate left in degree d lies in N:
+its normal form would be zero, so dropping it unreduced keeps the same
+columns and the same basis.  A kept candidate's normal form leads with a
+term of degree d that no lead divides, so it lowers the count by exactly
+one and opens no pair of degree d.  The count is taken once per degree
+from the Hilbert numerators of the lead monomials in each component, and
+dim M_d from those of the basis before; the candidates generate S, so the
+room is zero again after the last candidate of each degree.  A negative
+room, or room left after that, is a broken invariant (InvariantError).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 from .engine import ModuleGB, Vec, tracked_syzygies, vec_degree
-from .hilbert import hilbert_report
+from .hilbert import hilbert_function_values, hilbert_numerator, hilbert_report
 from .ideals import Ideal, InvariantError, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .protocol import note
-from .ring import COMP_BITS, frame_unit, key_component, key_degree
+from .ring import COMP_BITS, frame_unit, key_component, key_degree, key_exponents
 
 __all__ = [
     "GradedMatrix",
@@ -322,52 +343,107 @@ def syzygy_matrix(M: GradedMatrix) -> GradedMatrix:
     return GradedMatrix.from_columns(ring, M.col_twists, syz, degs)
 
 
+def _quotient_numerator(
+    leads: Sequence[int], units: Sequence[int], shift: int, nvars: int
+) -> list[int]:
+    """Numerator over (1-t)^nvars of the Hilbert series of F / L, for F the
+    free module whose basis has these units at `shift` and L the module the
+    lead terms span.  Component j adds t^deg(e_j) times the numerator of R
+    modulo its lead monomials, read off (lead - unit_j) >> shift."""
+    monomials: list[list[tuple[int, ...]]] = [[] for _ in units]
+    for t in leads:
+        j = key_component(t)
+        monomials[j].append(key_exponents((t - units[j]) >> shift, nvars))
+    out: list[int] = []
+    for unit, mons in zip(units, monomials):
+        twist = key_degree(unit, shift)
+        q = hilbert_numerator(mons, nvars)
+        out.extend([0] * (twist + len(q) - len(out)))
+        for i, c in enumerate(q):
+            out[twist + i] += c
+    return out
+
+
+def _image_numerator(gb: ModuleGB, frame: Sequence[int], nvars: int) -> list[int]:
+    """Numerator of the Hilbert series of the module a completed pass spans:
+    that of F minus that of F / L, with L the module of the basis's leads."""
+    free = _quotient_numerator((), frame, gb.shift, nvars)
+    quotient = _quotient_numerator([g.lead for g in gb.elts], frame, gb.shift, nvars)
+    return [a - b for a, b in zip_longest(free, quotient, fillvalue=0)]
+
+
+def _standard_count(gb: ModuleGB, frame: Sequence[int], nvars: int, degree: int) -> int:
+    """The count of standard terms of the given degree that the basis's
+    lead terms leave in the frame's free module."""
+    numerator = _quotient_numerator([g.lead for g in gb.elts], frame, gb.shift, nvars)
+    return hilbert_function_values(numerator, nvars, degree)[degree]
+
+
 def _stage_pass(
     p: int,
-    rank: int,
+    nvars: int,
+    frame: Sequence[int],
     shift: int,
     candidates: list[Optional[Vec]],
-    prune: bool,
-) -> tuple[list[Vec], list[int], list[int], list[Vec], int]:
+    image: Optional[list[int]],
+) -> tuple[list[Vec], list[int], list[int], ModuleGB]:
     """One tracked pass over the columns of a stage, in the Schreyer frame
-    the stage before induced: terms at `shift` (see ring), all twists zero.
+    the stage before induced: terms at `shift` with the units in `frame`
+    (see ring), all twists zero.
 
-    With prune, candidates are taken in (degree, index) order, the basis is
-    completed through each one's degree, and a candidate is kept only when
-    its normal form is nonzero, which then joins the basis; otherwise every
-    candidate is kept in order.  Each candidate is dropped from the list
-    once it is taken.  A kept column tracks its own unit vector in the frame
-    it induces, so the relations emitted are already in the next stage's
-    layout.
+    Without an image every candidate is kept, in order.  With one, the
+    Hilbert numerator of the module the pass before completed (the image of
+    the frame's module), the candidates are pruned, taken in (degree,
+    index) order.  When a new degree d starts, the basis is completed
+    through d and the room in d is counted: the standard terms of degree d
+    the basis leaves, minus the image's dimension in degree d.  While there
+    is room a candidate is kept when its normal form is nonzero; the normal
+    form joins the basis and takes one unit of room.  Once there is none,
+    the candidates left in degree d are dropped unreduced.  Each candidate
+    is dropped from the list once it is taken.  A kept column tracks its
+    own unit vector in the frame it induces, so the relations emitted are
+    already in the next stage's layout.
 
-    Returns (kept columns, their degrees, their unit terms, emitted
-    relations, basis size).
+    Returns (kept columns, their degrees, their unit terms, the completed
+    basis).
     """
-    gb = ModuleGB(
-        p, (0,) * rank, track=True, use_chain=True, shift=shift, value_shift=shift + COMP_BITS
-    )
+    twists = (0,) * len(frame)
+    gb = ModuleGB(p, twists, track=True, use_chain=True, shift=shift, value_shift=shift + COMP_BITS)
+    candidate_degrees = [key_degree(next(iter(vec)), shift) for vec in candidates]
     order = range(len(candidates))
-    if prune:
-        order = sorted(order, key=lambda i: (key_degree(next(iter(candidates[i])), shift), i))
+    if image is not None:
+        order = sorted(order, key=lambda i: (candidate_degrees[i], i))
+        targets = hilbert_function_values(image, nvars, max(candidate_degrees))
     kept: list[Vec] = []
     degrees: list[int] = []
     units: list[int] = []
+    degree = room = 0
     for i in order:
         vec = candidates[i]
         candidates[i] = None
-        d = key_degree(next(iter(vec)), shift)
+        d = candidate_degrees[i]
         unit = frame_unit(max(vec), len(units))
-        if prune:
-            gb.complete_to(d)
-            if not gb.add_remainder(dict(vec), {unit: 1}):
-                continue
-        else:
+        if image is None:
             gb.add(vec, {unit: 1})
+        else:
+            if d != degree:
+                if room:
+                    raise InvariantError(f"syzygy candidates do not span degree {degree}")
+                gb.complete_to(d)
+                degree = d
+                room = _standard_count(gb, frame, nvars, d) - targets[d]
+                if room < 0:
+                    raise InvariantError(f"standard terms fell below the image in degree {d}")
+            if not room or not gb.add_remainder(dict(vec), {unit: 1}):
+                continue
+            room -= 1
         kept.append(vec)
         degrees.append(d)
         units.append(unit)
+    if room:
+        raise InvariantError(f"syzygy candidates do not span degree {degree}")
     gb.complete()
-    return kept, degrees, units, gb.emitted, len(gb.elts)
+    return kept, degrees, units, gb
 
 
 def _unframe(vec: Vec, shift: int, units: Sequence[int]) -> Vec:
@@ -391,30 +467,41 @@ def free_resolution(I: Ideal, *, minimize: bool = True) -> Resolution:
     already framed for the next pass.  With minimally generated input the
     result is already minimal, and minimize=True runs unit cancellation to
     cover the general case.
+
+    The generator pass completes a Groebner basis of I; when I has none
+    cached yet, its reduced basis becomes I's.
     """
     ring = I.ring
+    nvars = ring.nvars
     gens = list(I.gens)
     if not gens:
         raise ValueError("resolution of the zero ideal")
-    _, degs, units, raw, size = _stage_pass(ring.p, 1, 0, [poly_to_vec(g) for g in gens], False)
+    frame, shift = [0], 0
+    columns = [poly_to_vec(g) for g in gens]
+    _, degs, units, gb = _stage_pass(ring.p, nvars, frame, shift, columns, None)
+    if I._gb is None:
+        # the generator pass completed a Groebner basis of I, and the
+        # reduced basis is unique
+        I._gb = tuple(vec_to_poly(ring, v) for v in gb.reduced_basis())
     twists = [degs]
     matrices: list[GradedMatrix] = []
-    shift = COMP_BITS
     while True:
-        note(f"syzygy pass: {size} basis elements, {len(raw)} raw relations")
+        raw = gb.emitted
+        note(f"syzygy pass: {len(gb.elts)} basis elements, {len(raw)} raw relations")
         if not raw:
             note("pruned to 0 minimal relations")
             break
-        cols, degs, next_units, raw, size = _stage_pass(ring.p, len(units), shift, raw, True)
+        image = _image_numerator(gb, frame, nvars)
+        del gb  # the next pass needs only its relations and its image
+        frame, shift = units, shift + COMP_BITS
+        cols, degs, units, gb = _stage_pass(ring.p, nvars, frame, shift, raw, image)
         note(f"pruned to {len(cols)} minimal relations")
-        cols = [_unframe(c, shift, units) for c in cols]
+        cols = [_unframe(c, shift, frame) for c in cols]
         matrices.append(GradedMatrix.from_columns(ring, tuple(twists[-1]), cols, degs))
         twists.append(degs)
         note(f"stage {len(matrices)}: {len(degs)} syzygies, degrees {sorted(set(degs))}")
         if len(matrices) > ring.nvars + 1:
             raise InvariantError("resolution exceeded the global bound")
-        units = next_units
-        shift += COMP_BITS
     res = Resolution(ring, gens, twists, matrices)
     if minimize:
         res = res.minimize()

@@ -99,6 +99,21 @@ class TestRes:
         assert err == "forge res: resolution exceeded the global bound\n"
 
 
+    def test_undercounted_standard_terms_exits_3(self, capsys, monkeypatch):
+        import brforge.resolution
+
+        count = brforge.resolution._standard_count
+        monkeypatch.setattr(
+            brforge.resolution, "_standard_count", lambda *args: count(*args) - 1
+        )
+        code, out, err = run(
+            ["res", "--ideal", fixture("ci_quadrics_p4.id"), "--minimal"], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "forge res: syzygy candidates do not span degree 8\n"
+
+
 class TestMinorsAndPfaffians:
     def test_minors(self, capsys):
         code, out, _ = run(
@@ -182,6 +197,22 @@ class TestPredict:
                 "e1 = 2,2,2,2,2\ne2 = 3,3,3,3,3\nci = 3,3,3\nd = 6\n",
                 "config is missing l",
             ),
+            (
+                "float.json",
+                '{"a": [2, 2, 2, 2], "b": [3], "n": 3.9}',
+                "n must hold integers, got 3.9",
+            ),
+            (
+                "floats.json",
+                '{"a": [2.7, 2, 2, 2], "b": [3], "n": 3}',
+                "a must hold integers, got [2.7, 2, 2, 2]",
+            ),
+            (
+                "bool.json",
+                '{"a": [2, 2, 2, 2], "b": [3], "n": 3, "p": [true]}',
+                "p must hold integers, got [True]",
+            ),
+            ("float.cfg", "a = 2,2,2,2\nb = 3\nn = 3.9\n", "n must hold integers, got '3.9'"),
         ],
     )
     def test_malformed_config_fails_in_one_line(self, capsys, tmp_path, name, text, message):

@@ -26,6 +26,9 @@ CASES = {
     "top_points5": ["top", "--ideal", fixture("points5.id"), "--seed", "1"],
     "res_points5": ["res", "--ideal", fixture("points5.id"), "--minimal"],
     "res_points5_protocol": ["res", "--ideal", fixture("points5.id"), "--minimal", "--protocol"],
+    "res_ci_quadrics_p4_protocol": [
+        "res", "--ideal", fixture("ci_quadrics_p4.id"), "--minimal", "--protocol",
+    ],
     "link_veronese_seed5": [
         "link", "--phi", fixture("linear_row_p5.mat"), "--ideal", fixture("veronese.id"),
         "--deg", "0", "--seed", "5",

@@ -6,6 +6,9 @@ names it in a quoted annotation, or lists it in __all__.
 
 Progress goes through the protocol channel (brforge.protocol): no function
 takes a `log` callback, and only the command line module prints.
+
+No module holds an assert statement: `python -O` strips them, so a broken
+invariant raises InvariantError instead.
 """
 
 import ast
@@ -115,3 +118,21 @@ def test_scan_flags_log_parameters_and_prints():
         "parameter log (line 1)",
         "parameter log (line 3)",
     ]
+
+
+def assert_statements(source: str) -> list[str]:
+    return [
+        f"assert (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assert)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_scan_flags_assert_statements():
+    source = "def f(x):\n    assert x, 'x'\n    return x  # assert\n"
+    assert assert_statements(source) == ["assert (line 2)"]

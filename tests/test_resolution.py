@@ -1,9 +1,14 @@
 """Free resolutions: complexes, exactness via Hilbert data, minimality."""
 
+from collections import Counter
+
 import pytest
 
+from brforge import resolution
+from brforge.engine import ModuleGB
 from brforge.hilbert import hilbert_numerator
-from brforge.ideals import Ideal
+from brforge.ideals import Ideal, InvariantError
+from brforge.io import read_ideal
 from brforge.poly import PolyRing
 from brforge.resolution import (
     BettiTable,
@@ -14,10 +19,10 @@ from brforge.resolution import (
     regularity,
     syzygy_matrix,
 )
-from brforge.ring import Rng
+from brforge.ring import COMP_BITS, Rng, key_degree
 
 import oracles
-from conftest import random_ideal
+from conftest import fixture, random_ideal
 
 
 def _strip(coeffs):
@@ -109,9 +114,58 @@ class TestExactnessViaHilbert:
             )
 
 
+def _stage_counts(monkeypatch):
+    """Per (pass, degree): the candidates each pruning pass takes and the
+    ModuleGB.add_remainder calls it makes.  Pass k (k >= 2) is the one whose
+    terms sit at shift (k - 1) * COMP_BITS."""
+    taken, reduced = Counter(), Counter()
+    stage_pass = resolution._stage_pass
+    add_remainder = ModuleGB.add_remainder
+
+    def counted_pass(p, nvars, frame, shift, candidates, image):
+        for vec in candidates if image is not None else ():
+            taken[(1 + shift // COMP_BITS, key_degree(next(iter(vec)), shift))] += 1
+        return stage_pass(p, nvars, frame, shift, candidates, image)
+
+    def counted_add(self, vec, value=None):
+        reduced[(1 + self.shift // COMP_BITS, key_degree(next(iter(vec)), self.shift))] += 1
+        return add_remainder(self, vec, value)
+
+    monkeypatch.setattr(resolution, "_stage_pass", counted_pass)
+    monkeypatch.setattr(ModuleGB, "add_remainder", counted_add)
+    return taken, reduced
+
+
+def _quadrics(ring, rng, count):
+    out = []
+    while len(out) < count:
+        f = ring.random_form(2, rng)
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
 class TestAgainstStepwise:
     """free_resolution against the stepwise route it replaced, on random
     ideals over small primes, where random forms often degenerate."""
+
+    def check(self, I):
+        ring = I.ring
+        p = ring.p
+        res = free_resolution(I, minimize=False)
+        ref = oracles.stepwise_resolution(I)
+        assert res.betti() == ref.betti()
+        assert res.matrices[0].entries == ref.matrices[0].entries
+        row = GradedMatrix(ring, [list(I.gens)], (0,), res.twists[0])
+        assert row.compose(res.matrices[0]).is_zero()
+        assert_is_complex(res)
+        top = max(max(t) for t in res.twists)
+        assert euler_numerator(res) == _strip(
+            oracles.hilbert_numerator_dense(I.gens, ring.nvars, p, top)
+        )
+        # the generator pass left I the basis it completed
+        assert I.groebner() == Ideal(ring, I.gens).groebner()
+        assert free_resolution(I).betti() == ref.minimize().betti()
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("n", [2, 3])
@@ -119,19 +173,65 @@ class TestAgainstStepwise:
         ring = PolyRing(p, n)
         rng = Rng(1000 * p + n)
         for _ in range(3):
-            I = random_ideal(ring, rng, 2 + rng.below(3), 3)
-            res = free_resolution(I, minimize=False)
-            ref = oracles.stepwise_resolution(I)
-            assert res.betti() == ref.betti()
-            assert res.matrices[0].entries == ref.matrices[0].entries
-            row = GradedMatrix(ring, [list(I.gens)], (0,), res.twists[0])
-            assert row.compose(res.matrices[0]).is_zero()
-            assert_is_complex(res)
-            top = max(max(t) for t in res.twists)
-            assert euler_numerator(res) == _strip(
-                oracles.hilbert_numerator_dense(I.gens, ring.nvars, p, top)
-            )
-            assert free_resolution(I).betti() == ref.minimize().betti()
+            self.check(random_ideal(ring, rng, 2 + rng.below(3), 3))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_five_variables(self, p):
+        ring = PolyRing(p, 4)
+        rng = Rng(1000 * p + 4)
+        for _ in range(2):
+            self.check(random_ideal(ring, rng, 2 + rng.below(2), 2))
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_redundant_generators(self, p):
+        ring = PolyRing(p, 3)
+        rng = Rng(1000 * p + 5)
+        for _ in range(3):
+            I = random_ideal(ring, rng, 2 + rng.below(2), 2)
+            f = I.gens[0]
+            extra = [f.scale(2), ring.variable(rng.below(4)) * f]
+            extra.extend(f + g for g in I.gens[1:] if g.degree() == f.degree())
+            self.check(Ideal(ring, list(I.gens) + extra))
+
+    @pytest.mark.parametrize("p", [5, 7, 32003])
+    def test_degrees_that_fill_partway(self, p, monkeypatch):
+        ring = PolyRing(p, 3)
+        rng = Rng(1000 * p + 6)
+        taken, reduced = _stage_counts(monkeypatch)
+        for _ in range(3):
+            self.check(Ideal(ring, _quadrics(ring, rng, 2 + rng.below(3))))
+        # some degree ran out of room after some of its candidates, and
+        # the rest were dropped unreduced
+        assert any(0 < reduced[key] < taken[key] for key in taken)
+
+
+class TestStagePasses:
+    def test_complete_intersection_reduces_no_redundant_degree(self, monkeypatch):
+        """Four generic quadrics in P^4: every relation above the Koszul
+        degree 4 of the generators' relations is redundant, and the pass
+        pruning them reduces none of them."""
+        I = read_ideal(fixture("ci_quadrics_p4.id"))
+        taken, reduced = _stage_counts(monkeypatch)
+        res = free_resolution(I)
+        assert res.betti().as_dict() == {(0, 2): 4, (1, 4): 6, (2, 6): 4, (3, 8): 1}
+        assert taken == {(2, 4): 9, (2, 5): 11, (2, 6): 3, (3, 6): 4, (3, 7): 2, (4, 8): 1}
+        assert reduced == {(2, 4): 7, (3, 6): 4, (4, 8): 1}
+
+    def test_generator_pass_leaves_the_ideal_its_basis(self, monkeypatch):
+        I = read_ideal(fixture("ci_quadrics_p4.id"))
+        want = Ideal(I.ring, I.gens).groebner()
+        free_resolution(I)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the basis was completed again")
+
+        monkeypatch.setattr(ModuleGB, "__init__", no_engine)
+        assert I.groebner() == want
+
+    def test_count_below_the_image_raises(self, monkeypatch):
+        monkeypatch.setattr(resolution, "_standard_count", lambda *args: 0)
+        with pytest.raises(InvariantError, match="fell below the image in degree 4"):
+            free_resolution(read_ideal(fixture("ci_quadrics_p4.id")))
 
 
 class TestMinimize:
