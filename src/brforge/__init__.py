@@ -12,7 +12,6 @@ from .ideals import (
     InvariantError,
     affine_dimension,
     ideal_intersection,
-    ideal_product,
     ideal_quotient,
     saturation,
     top_dimensional_part,
@@ -91,7 +90,6 @@ __all__ = [
     "InvariantError",
     "affine_dimension",
     "ideal_intersection",
-    "ideal_product",
     "ideal_quotient",
     "saturation",
     "top_dimensional_part",

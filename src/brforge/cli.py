@@ -15,6 +15,7 @@ internal invariant breaks (a fault of the program).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -541,7 +542,10 @@ def _cmd_genbr(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The forge parser, built once per process: parsing leaves it as it
+    was, and the FORGE_CHAR default is read when a command runs."""
     parser = _Parser(prog="forge", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

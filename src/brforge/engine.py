@@ -17,9 +17,10 @@ syzygy bookkeeping, so one reducer serves Groebner bases, normal forms,
 syzygy generation, and the value-tracked intersection and quotient
 constructions.
 
-All inputs are assumed homogeneous (asserted at the public boundaries, not
-per operation), which makes pair selection by degree the normal strategy and
-makes degree-truncated runs sound.
+All inputs are assumed homogeneous, which makes pair selection by degree the
+normal strategy and makes degree-truncated runs sound.  The engine does not
+check it; ideals.Ideal and resolution.GradedMatrix raise ValueError on an
+inhomogeneous generator or entry.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "vec_degree",
     "vec_scale",
     "ModuleGB",
+    "incremental_basis",
     "minimal_generating_subset",
     "tracked_intersection",
     "tracked_syzygies",
@@ -345,28 +347,49 @@ def _axpy(vec: Vec, factor: int, shift: int, src: Optional[Vec], p: int) -> None
             vec.pop(t, None)
 
 
+def incremental_basis(
+    vecs: Sequence[Vec],
+    p: int,
+    twists: Sequence[int],
+    seed: Sequence[Vec] = (),
+    counts: Optional[dict[int, int]] = None,
+) -> tuple[list[int], ModuleGB]:
+    """Kept indices and basis of one incremental build over the nonzero
+    vecs, taken in (degree, index) order after the seed (a Groebner basis,
+    entered as block 0).  Before a vector of degree d the basis is completed
+    through d; the vector is kept when its normal form is nonzero, and that
+    remainder joins the basis.  Rank one runs the product criterion.  The
+    basis is complete through the last degree tested; complete() it to go on.
+
+    counts, when given, is how many vectors the build keeps per degree
+    without it (see ideals.Ideal.minimal_generators); the vectors of a
+    degree are then tested only until its count is reached, so the same
+    indices are kept with fewer reductions.
+    """
+    inc = ModuleGB(p, twists, use_product=len(twists) == 1, use_chain=True)
+    for v in seed:
+        inc.add(dict(v), block=0)
+    degrees = {i: vec_degree(v, twists) for i, v in enumerate(vecs) if v}
+    left = None if counts is None else dict(counts)
+    kept: list[int] = []
+    for i in sorted(degrees, key=lambda i: (degrees[i], i)):
+        d = degrees[i]
+        if left is not None and not left.get(d):
+            continue
+        inc.complete_to(d)
+        if inc.add_remainder(dict(vecs[i])):
+            kept.append(i)
+            if left is not None:
+                left[d] -= 1
+    return kept, inc
+
+
 def minimal_generating_subset(
     vecs: Sequence[Vec], p: int, twists: Sequence[int]
 ) -> list[int]:
-    """Indices of a minimal homogeneous generating subset of <vecs>.
-
-    Processes candidates in ascending degree, keeping one exactly when it is
-    not a combination of those already kept (membership tested against an
-    incrementally completed basis, sound degreewise for homogeneous input;
-    a kept one's remainder joins the basis).
-    The count of kept generators is the minimal number of generators.
-    """
-    items = sorted(
-        (i for i, v in enumerate(vecs) if v),
-        key=lambda i: (vec_degree(vecs[i], twists), i),
-    )
-    inc = ModuleGB(p, twists, use_chain=True)
-    kept: list[int] = []
-    for i in items:
-        inc.complete_to(vec_degree(vecs[i], twists))
-        if inc.add_remainder(dict(vecs[i])):
-            kept.append(i)
-    return kept
+    """Indices of a minimal homogeneous generating subset of <vecs>, in
+    ascending degree (the vectors incremental_basis keeps)."""
+    return incremental_basis(vecs, p, twists)[0]
 
 
 def tracked_intersection(

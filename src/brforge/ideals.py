@@ -8,9 +8,10 @@ pairs provably emit nothing, so only cross pairs are reduced.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Optional, Sequence
 
-from .engine import ModuleGB, Vec, minimal_generating_subset, tracked_intersection
+from .engine import ModuleGB, Vec, incremental_basis, tracked_intersection, vec_degree
 from .poly import Polynomial, PolyRing
 from .protocol import note, recording
 from .ring import Rng
@@ -21,7 +22,6 @@ __all__ = [
     "Ideal",
     "ideal_quotient",
     "ideal_intersection",
-    "ideal_product",
     "saturation",
     "affine_dimension",
     "top_dimensional_part",
@@ -50,7 +50,7 @@ def vec_to_poly(ring: PolyRing, vec: Vec) -> Polynomial:
 class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped."""
 
-    __slots__ = ("ring", "gens", "_gb", "_gb_engine", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_gb_engine", "_counts", "_dim")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         kept = []
@@ -66,6 +66,7 @@ class Ideal:
         self.gens = tuple(kept)
         self._gb: Optional[tuple[Polynomial, ...]] = None
         self._gb_engine: Optional[ModuleGB] = None
+        self._counts: Optional[Counter] = None
         self._dim: Optional[int] = None
 
     def is_zero(self) -> bool:
@@ -80,13 +81,13 @@ class Ideal:
         return self._gb
 
     def _engine(self) -> ModuleGB:
-        """A completed rank-one basis engine for membership queries."""
+        """A completed rank-one basis engine for membership queries, grown
+        over the generators by incremental_basis; the generators it keeps
+        count the minimal generators per degree."""
         if self._gb_engine is None:
-            gb = ModuleGB(self.ring.p, (0,), use_product=True, use_chain=True)
-            for g in self.gens:
-                gb.add(poly_to_vec(g))
-            gb.complete()
-            self._gb_engine = gb
+            _, self._gb_engine, self._counts = _grow(
+                self.ring, [poly_to_vec(g) for g in self.gens]
+            )
         return self._gb_engine
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -118,19 +119,47 @@ class Ideal:
 
     def minimal_generators(self) -> tuple[Polynomial, ...]:
         """The canonical minimal generators: the members of the reduced
-        Groebner basis, in ascending order, that minimal_generating_subset
-        keeps.  They are monic and depend on the ideal alone, not on the
-        generators it was given by."""
+        Groebner basis, in ascending order, that incremental_basis keeps.
+        They are monic and depend on the ideal alone, not on the generators
+        it was given by.
+
+        Pruned in (degree, index) order, any generating set keeps
+        dim (I/mI)_d members of degree d, m the irrelevant ideal (graded
+        Nakayama: those kept below d generate I below d, hence (mI)_d, and
+        those kept in d extend a basis of (mI)_d to one of I_d).  The build
+        of the ideal's basis counted them, so the basis members of a degree
+        are reduced only until its count is reached, and no degree past the
+        last one lacking a generator is completed.
+        """
         gb = self.groebner()
-        keep = minimal_generating_subset([poly_to_vec(g) for g in gb], self.ring.p, (0,))
+        self._engine()  # its build counted the minimal generators
+        keep, _ = incremental_basis(
+            [poly_to_vec(g) for g in gb], self.ring.p, (0,), counts=self._counts
+        )
+        if len(keep) != sum(self._counts.values()):
+            raise InvariantError("minimal generator count differs between two presentations")
         return tuple(gb[i] for i in keep)
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.gens)} gens over {self.ring!r})"
 
 
-def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(I.ring, tuple(f * g for f in I.gens for g in J.gens))
+def _grow(ring: PolyRing, vecs: Sequence[Vec]) -> tuple[list[int], ModuleGB, Counter]:
+    """incremental_basis over vectors of component 0, completed: the kept
+    indices, the basis of the ideal they generate, and the kept count per
+    degree (the ideal's minimal generator count per degree)."""
+    kept, gb = incremental_basis(vecs, ring.p, (0,))
+    gb.complete()
+    return kept, gb, Counter(vec_degree(vecs[i], (0,)) for i in kept)
+
+
+def _pruned(ring: PolyRing, vecs: Sequence[Vec]) -> Ideal:
+    """The ideal the vectors generate, on the ones incremental_basis keeps,
+    with the basis grown while pruning them as its own."""
+    kept, gb, counts = _grow(ring, vecs)
+    out = Ideal(ring, [vec_to_poly(ring, vecs[i]) for i in kept])
+    out._gb_engine, out._counts = gb, counts
+    return out
 
 
 def _essential_targets(I: Ideal, targets: Sequence[Polynomial]) -> list[Polynomial]:
@@ -138,17 +167,14 @@ def _essential_targets(I: Ideal, targets: Sequence[Polynomial]) -> list[Polynomi
     order, returned in their original order.  Dropping the others keeps the
     quotient, since I : (A + (k)) = I : A whenever k lies in I + A.
 
-    Membership is tested as in minimal_generating_subset, on one incremental
-    basis seeded with I's reduced basis as block 0 (whose internal pairs are
-    already resolved); a kept target's remainder joins the basis."""
-    inc = ModuleGB(I.ring.p, (0,), use_product=True, use_chain=True)
-    for f in I.groebner():
-        inc.add(poly_to_vec(f), block=0)
-    kept = []
-    for i in sorted(range(len(targets)), key=lambda i: (targets[i].degree(), i)):
-        inc.complete_to(targets[i].degree())
-        if inc.add_remainder(poly_to_vec(targets[i])):
-            kept.append(i)
+    They are the ones incremental_basis keeps on a basis seeded with I's
+    reduced basis."""
+    kept, _ = incremental_basis(
+        [poly_to_vec(f) for f in targets],
+        I.ring.p,
+        (0,),
+        seed=[poly_to_vec(f) for f in I.groebner()],
+    )
     return [targets[i] for i in sorted(kept)]
 
 
@@ -161,7 +187,8 @@ def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     Rank one additionally runs the product criterion; the Koszul syzygies it
     skips have cofactors inside I, which I's own generators (always part of
     the quotient) cover.  The result is presented canonically
-    (Ideal.minimal_generators), so it does not depend on the pass."""
+    (Ideal.minimal_generators), so it does not depend on the pass; the
+    basis grown while pruning the candidates becomes the result's basis."""
     ring = I.ring
     p = ring.p
     targets = _essential_targets(I, targets)
@@ -181,11 +208,10 @@ def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     gb.complete()
     note(f"quotient pass emitted {len(gb.emitted)} candidates")
     vals = [poly_to_vec(f) for f in I.gens] if m == 1 else []
-    vals.extend(v for v in gb.emitted if v)
-    keep = minimal_generating_subset(vals, p, (0,))
-    Q = Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
+    vals.extend(gb.emitted)
+    Q = _pruned(ring, vals)
     out = Ideal(ring, Q.minimal_generators())
-    out._gb, out._gb_engine = Q._gb, Q._gb_engine  # same ideal, computed once
+    out._gb, out._gb_engine, out._counts = Q._gb, Q._gb_engine, Q._counts
     return out
 
 
@@ -206,7 +232,8 @@ def ideal_quotient(I: Ideal, J: Ideal | Polynomial) -> Ideal:
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """Elements lying in both ideals, from a tracked intersection pass
-    seeded with both reduced bases."""
+    seeded with both reduced bases, pruned by incremental_basis, whose
+    basis becomes the result's."""
     if I.ring != J.ring:
         raise ValueError("mixed rings")
     ring = I.ring
@@ -219,8 +246,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
         (0,),
     )
     note(f"intersection pass emitted {len(vals)} candidates")
-    keep = minimal_generating_subset(vals, ring.p, (0,))
-    return Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
+    return _pruned(ring, vals)
 
 
 def saturation(I: Ideal) -> Ideal:

@@ -380,6 +380,45 @@ def unpruned_quotient(I, targets: Sequence) -> Ideal:
     return Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
 
 
+def ideal_product(I: Ideal, J: Ideal) -> Ideal:
+    """The ideal generated by every product of a generator of I and one of J."""
+    return Ideal(I.ring, tuple(f * g for f in I.gens for g in J.gens))
+
+
+def batch_groebner(I: Ideal) -> tuple:
+    """I's reduced Groebner basis by the batch route: every generator added
+    unreduced, all pairs queued at once, then one completion."""
+    gb = ModuleGB(I.ring.p, (0,), use_product=True, use_chain=True)
+    for g in I.gens:
+        gb.add(poly_to_vec(g))
+    gb.complete()
+    return tuple(vec_to_poly(I.ring, v) for v in gb.reduced_basis())
+
+
+def canonical_generators(I: Ideal) -> tuple:
+    """The members of I's reduced Groebner basis that the full pruning
+    keeps: each one, in ascending order, tested against a chain-criterion
+    basis of those kept before it, completed through its degree."""
+    basis = batch_groebner(I)
+    inc = ModuleGB(I.ring.p, (0,), use_chain=True)
+    kept = []
+    for g in basis:
+        inc.complete_to(g.degree())
+        if inc.add_remainder(poly_to_vec(g)):
+            kept.append(g)
+    return tuple(kept)
+
+
+def minimal_generator_counts(gens: Sequence, nvars: int, p: int, upto: int) -> list[int]:
+    """dim I_d - dim (m I_{d-1})_d for d = 0..upto, m the irrelevant ideal:
+    (m I)_d is spanned by the multiples of the generators of degree below d."""
+    out = []
+    for d in range(upto + 1):
+        lower = [g for g in gens if g.degree() < d]
+        out.append(degree_span(gens, nvars, p, d).rank - degree_span(lower, nvars, p, d).rank)
+    return out
+
+
 def hilbert_numerator_dense(gens: Sequence, nvars: int, p: int, upto: int) -> list[int]:
     """Coefficients of t^0..t^upto of (1 - t)^nvars * sum_d dim (R/I)_d t^d,
     from the dense Hilbert function: the numerator of the Hilbert series

@@ -432,6 +432,24 @@ class TestEnvironmentCharacteristic:
         assert code == 0
         assert summary_of(out)["characteristic"] == 32003
 
+    def test_env_read_per_call_with_one_parser(self, capsys, monkeypatch):
+        import brforge.cli
+
+        # the parser is built once per process; the default must still
+        # follow FORGE_CHAR at the time of each call
+        argv = [
+            "br", "--t", "1", "--r", "3", "--entry-deg", "1",
+            "--sec-deg", "2", "--n", "3", "--seed", "11",
+        ]
+        seen = []
+        for char in ("23", "31"):
+            monkeypatch.setenv("FORGE_CHAR", char)
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            seen.append(summary_of(out)["characteristic"])
+        assert seen == [23, 31]
+        assert brforge.cli._build_parser() is brforge.cli._build_parser()
+
 
 class TestLink:
     def setup_files(self, tmp_path, ring3):

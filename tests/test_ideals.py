@@ -1,14 +1,17 @@
 """Ideal operations against the dense oracle, plus the pinned regressions."""
 
+from collections import Counter
+
 import pytest
 
 from brforge.construct import ConstructionSpec, construction_matrix, kernel_section_run
+from brforge.engine import ModuleGB
 from brforge.ideals import (
     Ideal,
+    InvariantError,
     _essential_targets,
     affine_dimension,
     ideal_intersection,
-    ideal_product,
     ideal_quotient,
     saturation,
     top_dimensional_part,
@@ -60,7 +63,7 @@ class TestQuotient:
         rng = Rng(53)
         I = random_ideal(ring3, rng, 2, 2)
         J = random_ideal(ring3, rng, 1, 1)
-        Q = ideal_quotient(ideal_product(I, J), J)
+        Q = ideal_quotient(oracles.ideal_product(I, J), J)
         assert Q.contains_ideal(I)
 
     def test_unit_quotient(self, ring3):
@@ -92,7 +95,7 @@ class TestQuotientRedundantTargets:
             # each one moves the quotient
             A = random_ideal(ring, rng, 2, 1)
             B = random_ideal(ring, rng, 2, 2)
-            I = ideal_product(A, B)
+            I = oracles.ideal_product(A, B)
             base = [_combination(ring, rng, A.gens, 2), _combination(ring, rng, B.gens, 2)]
             inside = _combination(ring, rng, I.gens, 3)
             mixed = _combination(ring, rng, base, 3) + _combination(ring, rng, I.gens, 3)
@@ -194,6 +197,111 @@ class TestCanonicalPresentation:
         assert top.equals(oracles.unpruned_quotient(J, link.gens))
 
 
+def _messy_generators(ring, rng):
+    """Random forms of degrees 1 to 3, then a scaled copy, a duplicate, a
+    multiple and a combination of them, shuffled."""
+    p = ring.p
+    base = list(random_ideal(ring, rng, 2 + rng.below(3), 3).gens)
+    gens = base + [
+        base[0].scale(1 + rng.below(p - 1)),
+        base[-1],
+        ring.variable(rng.below(ring.nvars)) * base[1],
+        _combination(ring, rng, base, 3),
+    ]
+    for i in range(len(gens) - 1, 0, -1):
+        j = rng.below(i + 1)
+        gens[i], gens[j] = gens[j], gens[i]
+    return gens
+
+
+class TestOneBasisBuild:
+    """Every ideal's basis is grown once, over its generators or over the
+    candidates of the pass that made it, and drives its canonical
+    generators by the minimal generator count per degree."""
+
+    @staticmethod
+    def _check(I):
+        ring = I.ring
+        assert I.groebner() == oracles.batch_groebner(I)
+        mg = I.minimal_generators()
+        assert mg == oracles.canonical_generators(I)
+        top = max(g.degree() for g in I.gens) + 1
+        dense = oracles.minimal_generator_counts(I.gens, ring.nvars, ring.p, top)
+        assert [I._counts[d] for d in range(top + 1)] == dense
+        assert Counter(g.degree() for g in mg) == I._counts
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_against_batch_route_and_dense_counts(self, p, n):
+        ring = PolyRing(p, n)
+        rng = Rng(200 * p + n)
+        for _ in range(3):
+            I = Ideal(ring, _messy_generators(ring, rng))
+            self._check(I)
+            Q = ideal_quotient(I, ring.random_form(1, rng))
+            assert Q.gens == oracles.canonical_generators(Q)
+            self._check(Q)
+            self._check(ideal_intersection(I, Ideal(ring, _messy_generators(ring, rng))))
+
+    @staticmethod
+    def _generic(degrees, basis_degrees):
+        """Generic forms of the given degrees in P^3, with their basis built."""
+        ring = PolyRing(P, 3)
+        rng = Rng(7)
+        I = Ideal(ring, [ring.random_form(d, rng) for d in degrees])
+        assert [g.degree() for g in I.groebner()] == basis_degrees
+        return I
+
+    @pytest.mark.parametrize(
+        "degrees, basis_degrees, reduced",
+        [
+            # only the three quadrics are reduced, no member of degree 3 or 4
+            ([2, 2, 2], [2, 2, 2, 3, 3, 4], 3),
+            # the first cubic member is kept, so the second is not reduced
+            ([2, 2, 3], [2, 2, 3, 3, 4, 4, 5], 3),
+        ],
+    )
+    def test_canonical_generators_reduce_only_lacking_degrees(
+        self, monkeypatch, degrees, basis_degrees, reduced
+    ):
+        I = self._generic(degrees, basis_degrees)
+        calls = []
+        add_remainder = ModuleGB.add_remainder
+
+        def counted(self, vec, value=None):
+            calls.append(1)
+            return add_remainder(self, vec, value)
+
+        monkeypatch.setattr(ModuleGB, "add_remainder", counted)
+        assert [g.degree() for g in I.minimal_generators()] == degrees
+        assert len(calls) == reduced
+
+    def test_wrong_count_raises(self):
+        I = self._generic([2, 2, 2], [2, 2, 2, 3, 3, 4])
+        I._counts[3] += 1
+        with pytest.raises(InvariantError, match="minimal generator count"):
+            I.minimal_generators()
+
+    def test_quotient_builds_each_basis_once(self, monkeypatch):
+        """I's basis, the essential targets, the pass, the candidates (whose
+        basis becomes the result's) and the canonical generators: five
+        engines."""
+        I = self._generic([2, 2, 2], [2, 2, 2, 3, 3, 4])
+        I = Ideal(I.ring, I.gens)
+        engines = []
+        init = ModuleGB.__init__
+
+        def counted(self, *args, **kwargs):
+            engines.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModuleGB, "__init__", counted)
+        Q = ideal_quotient(I, I.ring.variable(0))
+        assert len(engines) == 5
+        assert Q.equals(I)
+        assert len(engines) == 5
+
+
 class TestIntersection:
     def test_dimensions_against_oracle(self, ring2):
         rng = Rng(54)
@@ -228,7 +336,7 @@ class TestIntersection:
 class TestSaturation:
     def test_strips_irrelevant_power(self, ring3):
         m = Ideal(ring3, list(ring3.variables()))
-        I = ideal_product(m, Ideal(ring3, [ring3.parse("z0^2+z1^2")]))
+        I = oracles.ideal_product(m, Ideal(ring3, [ring3.parse("z0^2+z1^2")]))
         S = saturation(I)
         assert S.equals(Ideal(ring3, [ring3.parse("z0^2+z1^2")]))
 
@@ -237,7 +345,7 @@ class TestSaturation:
         # saturating with the product of the variables would wrongly
         # return the unit ideal here
         m = Ideal(ring3, list(ring3.variables()))
-        I = ideal_product(Ideal(ring3, [ring3.variable(0)]), m)
+        I = oracles.ideal_product(Ideal(ring3, [ring3.variable(0)]), m)
         S = saturation(I)
         assert S.equals(Ideal(ring3, [ring3.variable(0)]))
 
@@ -257,7 +365,7 @@ class TestSaturation:
         # variable lands back in the ideal
         m = Ideal(ring3, list(ring3.variables()))
         base = Ideal(ring3, [ring3.parse("z1^2"), ring3.parse("z1*z2")])
-        I = ideal_product(base, m)
+        I = oracles.ideal_product(base, m)
         S = saturation(I)
         for f in S.gens:
             for v in ring3.variables():
@@ -295,7 +403,7 @@ class TestIdealBasics:
     def test_sum_and_product(self, ring3):
         I = Ideal(ring3, [ring3.variable(0)])
         J = Ideal(ring3, [ring3.variable(1)])
-        prod = ideal_product(I, J)
+        prod = oracles.ideal_product(I, J)
         assert prod.contains(ring3.parse("z0*z1"))
         assert not prod.contains(ring3.variable(0))
 
