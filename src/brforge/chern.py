@@ -147,28 +147,12 @@ class ExpectedShape:
     def from_dicts(cls, dicts: Sequence[dict[int, int]]) -> "ExpectedShape":
         return cls(tuple(tuple(sorted((d, r) for d, r in s.items() if r)) for s in dicts))
 
-    def step_dicts(self) -> list[dict[int, int]]:
-        return [dict(s) for s in self.steps]
-
     def as_betti_dict(self) -> dict[tuple[int, int], int]:
         out = {}
         for k, s in enumerate(self.steps):
             for d, r in s:
                 out[(k, d)] = r
         return out
-
-    def total_rank(self) -> int:
-        return sum(r for s in self.steps for _, r in s)
-
-    def cancel_adjacent(self, step: int, degree: int, count: int = 1) -> "ExpectedShape":
-        """Remove `count` ghost summands of the given degree from this step
-        and the next one (a cancelling adjacent pair)."""
-        dicts = self.step_dicts()
-        for k in (step, step + 1):
-            if k >= len(dicts) or dicts[k].get(degree, 0) < count:
-                raise ValueError(f"no rank to cancel at step {k}, degree {degree}")
-            dicts[k][degree] -= count
-        return ExpectedShape.from_dicts(dicts)
 
     def ghost_difference(
         self, observed: dict[tuple[int, int], int]

@@ -21,25 +21,65 @@ All inputs are assumed homogeneous, which makes pair selection by degree the
 normal strategy and makes degree-truncated runs sound.  The engine does not
 check it; ideals.Ideal and resolution.GradedMatrix raise ValueError on an
 inhomogeneous generator or entry.
+
+Syzygies come from stage passes (_stage_pass), the stepwise Schreyer
+scheme.  A generator pass takes the columns of a map in term over position,
+and each column tracks its own unit in the Schreyer frame its lead induces
+(see ring), so every S-pair that reduces to zero emits a relation among the
+columns, already in that frame; together these raw relations generate the
+syzygy module (Schreyer's theorem).  A pruning pass takes the raw relations
+of the pass before as its candidates, in that frame: it keeps those not in
+the span of the ones kept so far, which prunes them to a minimal generating
+set, and emits the relations among the kept ones, framed for the next pass.
+A kernel (tracked_syzygies) is a generator pass and one pruning pass, which
+is not completed: a kernel needs no second syzygies.  A resolution
+(resolution.free_resolution) runs pruning passes until one emits nothing.
+
+Most raw relations are redundant, and a dimension count drops them without
+a reduction (Traverso's Hilbert-driven idea, on the pruning step of the
+stepwise Schreyer resolution).  Let F be the free module of the pass's
+columns and M their image, the module whose basis the pass before
+completed.  Every candidate lies in the syzygy module S = ker(F -> M), and
+F / S is isomorphic to M, so dim S_d = dim F_d - dim M_d.  Let N be the
+span of the candidates kept so far.  Once the pass's basis is complete
+through degree d it is a Groebner basis of N there, so dim F_d - dim N_d
+is the count of standard terms of degree d its lead terms leave.  The room
+in degree d, that count minus dim M_d, is therefore dim S_d - dim N_d.
+When it is zero, N_d = S_d and every candidate left in degree d lies in N:
+its normal form would be zero, so dropping it unreduced keeps the same
+columns and the same basis.  A kept candidate's normal form leads with a
+term of degree d that no lead divides, so it lowers the count by exactly
+one and opens no pair of degree d.  The count is taken once per degree
+from the Hilbert numerators of the lead monomials in each component, and
+dim M_d from those of the basis before, each component shifted by its
+degree; the candidates generate S, so the room is zero again after the
+last candidate of each degree.  A negative room, or room left after that,
+is a broken invariant (InvariantError).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import zip_longest
 from typing import Optional, Sequence
 
+from .hilbert import hilbert_function_values, hilbert_numerator
 from .protocol import note
 from .ring import (
+    COMP_BITS,
     MAX_DEGREE,
     MAX_RANK,
     divisor_masks,
+    frame_unit,
     key_component,
     key_degree,
     key_divides,
+    key_exponents,
     key_lcm,
 )
 
 __all__ = [
+    "InvariantError",
     "Vec",
     "vec_degree",
     "vec_scale",
@@ -53,10 +93,16 @@ __all__ = [
 Vec = dict  # {term: coeff}
 
 
-def vec_degree(vec: Vec, twists: Sequence[int]) -> int:
-    """Degree of a nonzero homogeneous vector (twists = component degrees)."""
+class InvariantError(RuntimeError):
+    """An internal invariant broke: a fault of the program, not of its input
+    or of a random draw."""
+
+
+def vec_degree(vec: Vec, twists: Sequence[int], shift: int = 0) -> int:
+    """Degree of a nonzero homogeneous vector with terms at `shift`
+    (twists = component degrees minus the degrees their terms read)."""
     t = next(iter(vec))
-    return key_degree(t) + twists[key_component(t)]
+    return key_degree(t, shift) + twists[key_component(t)]
 
 
 def vec_scale(vec: Vec, c: int, p: int) -> Vec:
@@ -81,7 +127,8 @@ class ModuleGB:
 
     twists: ambient component degrees, used only to order the pair queue by
     true S-vector degree (inputs homogeneous): the degree of e_comp minus the
-    degree its term reads, so all zero in a Schreyer frame.
+    degree its term reads, so in a Schreyer frame the twist of the innermost
+    component, all zero below an ideal.
 
     shift: the shift of the ambient terms (0 for term over position); the
     engine never needs the units themselves.  value_shift: the shift of the
@@ -414,31 +461,150 @@ def tracked_intersection(
     return gb.emitted
 
 
-def tracked_syzygies(
-    columns: Sequence[Vec], p: int, ambient_twists: Sequence[int]
-) -> list[Vec]:
-    """Generators of the syzygy module of the given columns.
+def _quotient_numerator(
+    gb: ModuleGB, frame: Sequence[int], nvars: int, leads: Sequence[int]
+) -> list[int]:
+    """Numerator over (1-t)^nvars of the Hilbert series of F / L, for F the
+    free module of the pass's frame (its units at gb.shift, its twists
+    gb.twists) and L the module the lead terms span.  Component j adds
+    t^deg(e_j) times the numerator of R modulo its lead monomials, read off
+    (lead - unit_j) >> shift."""
+    shift = gb.shift
+    monomials: list[list[tuple[int, ...]]] = [[] for _ in frame]
+    for t in leads:
+        j = key_component(t)
+        monomials[j].append(key_exponents((t - frame[j]) >> shift, nvars))
+    out: list[int] = []
+    for unit, twist, mons in zip(frame, gb.twists, monomials):
+        twist += key_degree(unit, shift)
+        q = hilbert_numerator(mons, nvars)
+        out.extend([0] * (twist + len(q) - len(out)))
+        for i, c in enumerate(q):
+            out[twist + i] += c
+    return out
 
-    Runs a tracked Buchberger pass where every zero reduction emits the
-    combination that produced it; together with unit syzygies for zero
-    columns these generate all relations.  The result is pruned to a minimal
-    generating set, sorted ascending by degree.
+
+def _image_numerator(gb: ModuleGB, frame: Sequence[int], nvars: int) -> list[int]:
+    """Numerator of the Hilbert series of the module a completed pass spans:
+    that of F minus that of F / L, with L the module of the basis's leads."""
+    free = _quotient_numerator(gb, frame, nvars, ())
+    quotient = _quotient_numerator(gb, frame, nvars, [g.lead for g in gb.elts])
+    return [a - b for a, b in zip_longest(free, quotient, fillvalue=0)]
+
+
+def _standard_count(gb: ModuleGB, frame: Sequence[int], nvars: int, degree: int) -> int:
+    """The count of standard terms of the given degree that the basis's
+    lead terms leave in the frame's free module."""
+    numerator = _quotient_numerator(gb, frame, nvars, [g.lead for g in gb.elts])
+    return hilbert_function_values(numerator, nvars, degree)[degree]
+
+
+def _stage_pass(
+    p: int,
+    nvars: int,
+    frame: Sequence[int],
+    twists: Sequence[int],
+    shift: int,
+    candidates: list[Optional[Vec]],
+    image: Optional[list[int]],
+) -> tuple[list[Vec], list[int], list[int], ModuleGB]:
+    """One tracked pass over the columns of a stage: terms at `shift` with
+    the units in `frame` and these twists (see ModuleGB), all nonnegative.
+
+    Without an image every candidate is kept, in order.  With one, the
+    Hilbert numerator of the module the pass before completed (the image of
+    the frame's module), the candidates are pruned, taken in (degree,
+    index) order.  When a new degree d starts, the basis is completed
+    through d and the room in d is counted: the standard terms of degree d
+    the basis leaves, minus the image's dimension in degree d.  While there
+    is room a candidate is kept when its normal form is nonzero; the normal
+    form joins the basis and takes one unit of room.  Once there is none,
+    the candidates left in degree d are dropped unreduced.  Each candidate
+    is dropped from the list once it is taken.  A kept column tracks its
+    own unit vector in the frame it induces, so the relations emitted are
+    already in the next stage's layout.
+
+    Returns (kept columns, their degrees, their unit terms, the basis).
+    The basis is complete through the last degree pruned; complete() it
+    for the relations among the kept columns.
     """
-    # the unit vector e_idx of the tracking space is the term -idx
-    col_degrees = []
-    gb = ModuleGB(p, ambient_twists, track=True, use_chain=True)
-    syz: list[Vec] = []
-    for idx, col in enumerate(columns):
-        if not col:
-            col_degrees.append(0)
-            syz.append({-idx: 1})
-            continue
-        col_degrees.append(vec_degree(col, ambient_twists))
-        gb.add(dict(col), {-idx: 1})
+    gb = ModuleGB(p, twists, track=True, use_chain=True, shift=shift, value_shift=shift + COMP_BITS)
+    candidate_degrees = [vec_degree(vec, twists, shift) for vec in candidates]
+    order = range(len(candidates))
+    if image is not None:
+        order = sorted(order, key=lambda i: (candidate_degrees[i], i))
+        targets = hilbert_function_values(image, nvars, max(candidate_degrees))
+    kept: list[Vec] = []
+    degrees: list[int] = []
+    units: list[int] = []
+    degree, room = -1, 0  # below every candidate degree
+    for i in order:
+        vec = candidates[i]
+        candidates[i] = None
+        d = candidate_degrees[i]
+        unit = frame_unit(max(vec), len(units))
+        if image is None:
+            gb.add(vec, {unit: 1})
+        else:
+            if d != degree:
+                if room:
+                    raise InvariantError(f"syzygy candidates do not span degree {degree}")
+                gb.complete_to(d)
+                degree = d
+                room = _standard_count(gb, frame, nvars, d) - targets[d]
+                if room < 0:
+                    raise InvariantError(f"standard terms fell below the image in degree {d}")
+            if not room or not gb.add_remainder(dict(vec), {unit: 1}):
+                continue
+            room -= 1
+        kept.append(vec)
+        degrees.append(d)
+        units.append(unit)
+    if room:
+        raise InvariantError(f"syzygy candidates do not span degree {degree}")
+    return kept, degrees, units, gb
+
+
+def _unframe(vec: Vec, shift: int, units: Sequence[int], comps: Sequence[int]) -> Vec:
+    """A framed vector in term over position layout, its component j
+    becoming comps[j]."""
+    out: Vec = {}
+    for t, c in vec.items():
+        comp = key_component(t)
+        out[((t - units[comp]) >> shift) - comps[comp]] = c
+    return out
+
+
+def tracked_syzygies(
+    columns: Sequence[Vec], p: int, ambient_twists: Sequence[int], nvars: int
+) -> list[Vec]:
+    """Minimal generators of the syzygy module of the given columns, in
+    term over position over the columns: the unit syzygies of the zero
+    columns first, then the rest in ascending degree.
+
+    The first two stage passes of a resolution (see the module docstring):
+    the generator pass over the nonzero columns, with the ambient twists,
+    and one pruning pass over its raw relations.
+    """
+    # a kernel reads only differences of degrees, and the Hilbert counts
+    # need them nonnegative
+    base = min(ambient_twists, default=0)
+    twists = [t - base for t in ambient_twists]
+    nonzero = [j for j, col in enumerate(columns) if col]
+    cols = [columns[j] for j in nonzero]
+    # a framed column's degree reads that of its lead's monomial, so its
+    # twist is that of the lead's component
+    framed_twists = [twists[key_component(max(col))] for col in cols]
+    out: list[Vec] = [{-j: 1} for j, col in enumerate(columns) if not col]
+    frame = [-r for r in range(len(twists))]
+    _, _, units, gb = _stage_pass(p, nvars, frame, twists, 0, cols, None)
     gb.complete()
-    syz.extend(gb.emitted)
-    note(f"syzygy pass: {len(gb.elts)} basis elements, {len(syz)} raw relations")
-    keep = minimal_generating_subset(syz, p, col_degrees)
-    out = [syz[i] for i in keep]
+    raw = gb.emitted
+    note(f"syzygy pass: {len(gb.elts)} basis elements, {len(out) + len(raw)} raw relations")
+    if raw:
+        image = _image_numerator(gb, frame, nvars)
+        del gb  # the pruning pass needs only the relations and their image
+        kept = _stage_pass(p, nvars, units, framed_twists, COMP_BITS, raw, image)[0]
+        out.extend(_unframe(vec, COMP_BITS, units, nonzero) for vec in kept)
     note(f"pruned to {len(out)} minimal relations")
     return out

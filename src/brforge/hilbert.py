@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial, prod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .ideals import Ideal
+if TYPE_CHECKING:  # ideals imports engine, which imports this module
+    from .ideals import Ideal
 
 __all__ = [
     "HilbertReport",

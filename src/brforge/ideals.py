@@ -11,7 +11,14 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Optional, Sequence
 
-from .engine import ModuleGB, Vec, incremental_basis, tracked_intersection, vec_degree
+from .engine import (
+    InvariantError,
+    ModuleGB,
+    Vec,
+    incremental_basis,
+    tracked_intersection,
+    vec_degree,
+)
 from .poly import Polynomial, PolyRing
 from .protocol import note, recording
 from .ring import Rng
@@ -30,11 +37,6 @@ __all__ = [
 
 class ConstructionError(RuntimeError):
     """A randomized construction failed to reach the expected state."""
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant broke: a fault of the program, not of its input
-    or of a random draw."""
 
 
 def poly_to_vec(f: Polynomial, comp: int = 0) -> Vec:

@@ -59,12 +59,6 @@ class PolyRing:
     def variables(self) -> tuple["Polynomial", ...]:
         return self._vars
 
-    def constant(self, c: int) -> "Polynomial":
-        c = self.field.normalize(c)
-        if c == 0:
-            return self.zero
-        return Polynomial(self, ((0, c),))
-
     def exponents(self, key: int) -> tuple[int, ...]:
         """Exponent tuple (z0..zn) of a key."""
         return key_exponents(key, self.nvars)
@@ -96,10 +90,6 @@ class PolyRing:
             cached = tuple(sorted(keys, reverse=True))
             self._mon_cache[d] = cached
         return cached
-
-    def exponents_of_degree(self, d: int) -> tuple[tuple[int, ...], ...]:
-        """All exponent tuples of total degree d, descending in the ring order."""
-        return tuple(self.exponents(k) for k in self._keys_of_degree(d))
 
     def random_form(self, d: int, rng: Rng) -> "Polynomial":
         """Form of degree d with an independent uniform coefficient (0 allowed)

@@ -1,49 +1,26 @@
 """Graded matrices, syzygies, free resolutions, and Betti data.
 
-Resolutions are built with one tracked engine pass per stage.  The pass of
-a stage works in the Schreyer order induced by the columns of the stage
-before (ring explains the packed terms).  Its candidates are the raw
-relations the pass before emitted: it keeps those not in the span of the
-ones kept so far, which prunes them to a minimal generating set, and emits
-the relations among the kept ones, already in the order they induce, for
-the next pass.  The resolution of a minimally generated ideal therefore
-comes out minimal.  minimize() handles the general case by cancelling unit
-entries, carrying the induced operations into both neighbouring matrices
-and the generator row.
-
-Most raw relations are redundant, and a dimension count drops them without
-a reduction (Traverso's Hilbert-driven idea, on the pruning step of the
-stepwise Schreyer resolution).  Let F be the free module of the stage's
-columns and M their image, the module whose basis the pass before
-completed.  Every candidate lies in the syzygy module S = ker(F -> M), and
-F / S is isomorphic to M, so dim S_d = dim F_d - dim M_d.  Let N be the
-span of the candidates kept so far.  Once the pass's basis is complete
-through degree d it is a Groebner basis of N there, so dim F_d - dim N_d
-is the count of standard terms of degree d its lead terms leave.  The room
-in degree d, that count minus dim M_d, is therefore dim S_d - dim N_d.
-When it is zero, N_d = S_d and every candidate left in degree d lies in N:
-its normal form would be zero, so dropping it unreduced keeps the same
-columns and the same basis.  A kept candidate's normal form leads with a
-term of degree d that no lead divides, so it lowers the count by exactly
-one and opens no pair of degree d.  The count is taken once per degree
-from the Hilbert numerators of the lead monomials in each component, and
-dim M_d from those of the basis before; the candidates generate S, so the
-room is zero again after the last candidate of each degree.  A negative
-room, or room left after that, is a broken invariant (InvariantError).
+Resolutions and kernels are built by the engine's stage passes (see
+engine for the passes and the Hilbert-driven pruning): the generator pass
+takes every generator of the ideal as a column, and the pass of each later
+stage, in the Schreyer order the stage before induced, prunes the raw
+relations of the stage before to a minimal generating set.  The resolution
+of a minimally generated ideal therefore comes out minimal.  minimize()
+handles the general case by cancelling unit entries, carrying the induced
+operations into both neighbouring matrices and the generator row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Optional, Sequence
 
-from .engine import ModuleGB, Vec, tracked_syzygies, vec_degree
-from .hilbert import hilbert_function_values, hilbert_numerator, hilbert_report
+from .engine import Vec, _image_numerator, _stage_pass, _unframe, tracked_syzygies, vec_degree
+from .hilbert import hilbert_report
 from .ideals import Ideal, InvariantError, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .protocol import note
-from .ring import COMP_BITS, frame_unit, key_component, key_degree, key_exponents
+from .ring import COMP_BITS, key_component
 
 __all__ = [
     "GradedMatrix",
@@ -134,25 +111,6 @@ class GradedMatrix:
             for comp, v in per_row.items():
                 grid[comp][j] = vec_to_poly(ring, v)
         return cls(ring, grid, row_twists, col_twists)
-
-    def compose(self, other: "GradedMatrix") -> "GradedMatrix":
-        """self * other (apply other first)."""
-        if other.row_twists != self.col_twists:
-            raise ValueError("twist mismatch in composition")
-        ring = self.ring
-        grid = []
-        for i in range(self.rows):
-            row = []
-            for k in range(other.cols):
-                acc = ring.zero
-                for j in range(self.cols):
-                    a = self.entries[i][j]
-                    b = other.entries[j][k]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            grid.append(row)
-        return GradedMatrix(ring, grid, self.row_twists, other.col_twists)
 
     def apply_to(self, coefficients: Sequence[Polynomial]) -> FreeModuleElement:
         """Image of the column vector of coefficient forms."""
@@ -338,121 +296,9 @@ class Resolution:
 def syzygy_matrix(M: GradedMatrix) -> GradedMatrix:
     """Minimal generators of the column syzygies, as a graded matrix."""
     ring = M.ring
-    syz = tracked_syzygies(M.columns(), ring.p, M.row_twists)
+    syz = tracked_syzygies(M.columns(), ring.p, M.row_twists, ring.nvars)
     degs = [vec_degree(s, M.col_twists) for s in syz]
     return GradedMatrix.from_columns(ring, M.col_twists, syz, degs)
-
-
-def _quotient_numerator(
-    leads: Sequence[int], units: Sequence[int], shift: int, nvars: int
-) -> list[int]:
-    """Numerator over (1-t)^nvars of the Hilbert series of F / L, for F the
-    free module whose basis has these units at `shift` and L the module the
-    lead terms span.  Component j adds t^deg(e_j) times the numerator of R
-    modulo its lead monomials, read off (lead - unit_j) >> shift."""
-    monomials: list[list[tuple[int, ...]]] = [[] for _ in units]
-    for t in leads:
-        j = key_component(t)
-        monomials[j].append(key_exponents((t - units[j]) >> shift, nvars))
-    out: list[int] = []
-    for unit, mons in zip(units, monomials):
-        twist = key_degree(unit, shift)
-        q = hilbert_numerator(mons, nvars)
-        out.extend([0] * (twist + len(q) - len(out)))
-        for i, c in enumerate(q):
-            out[twist + i] += c
-    return out
-
-
-def _image_numerator(gb: ModuleGB, frame: Sequence[int], nvars: int) -> list[int]:
-    """Numerator of the Hilbert series of the module a completed pass spans:
-    that of F minus that of F / L, with L the module of the basis's leads."""
-    free = _quotient_numerator((), frame, gb.shift, nvars)
-    quotient = _quotient_numerator([g.lead for g in gb.elts], frame, gb.shift, nvars)
-    return [a - b for a, b in zip_longest(free, quotient, fillvalue=0)]
-
-
-def _standard_count(gb: ModuleGB, frame: Sequence[int], nvars: int, degree: int) -> int:
-    """The count of standard terms of the given degree that the basis's
-    lead terms leave in the frame's free module."""
-    numerator = _quotient_numerator([g.lead for g in gb.elts], frame, gb.shift, nvars)
-    return hilbert_function_values(numerator, nvars, degree)[degree]
-
-
-def _stage_pass(
-    p: int,
-    nvars: int,
-    frame: Sequence[int],
-    shift: int,
-    candidates: list[Optional[Vec]],
-    image: Optional[list[int]],
-) -> tuple[list[Vec], list[int], list[int], ModuleGB]:
-    """One tracked pass over the columns of a stage, in the Schreyer frame
-    the stage before induced: terms at `shift` with the units in `frame`
-    (see ring), all twists zero.
-
-    Without an image every candidate is kept, in order.  With one, the
-    Hilbert numerator of the module the pass before completed (the image of
-    the frame's module), the candidates are pruned, taken in (degree,
-    index) order.  When a new degree d starts, the basis is completed
-    through d and the room in d is counted: the standard terms of degree d
-    the basis leaves, minus the image's dimension in degree d.  While there
-    is room a candidate is kept when its normal form is nonzero; the normal
-    form joins the basis and takes one unit of room.  Once there is none,
-    the candidates left in degree d are dropped unreduced.  Each candidate
-    is dropped from the list once it is taken.  A kept column tracks its
-    own unit vector in the frame it induces, so the relations emitted are
-    already in the next stage's layout.
-
-    Returns (kept columns, their degrees, their unit terms, the completed
-    basis).
-    """
-    twists = (0,) * len(frame)
-    gb = ModuleGB(p, twists, track=True, use_chain=True, shift=shift, value_shift=shift + COMP_BITS)
-    candidate_degrees = [key_degree(next(iter(vec)), shift) for vec in candidates]
-    order = range(len(candidates))
-    if image is not None:
-        order = sorted(order, key=lambda i: (candidate_degrees[i], i))
-        targets = hilbert_function_values(image, nvars, max(candidate_degrees))
-    kept: list[Vec] = []
-    degrees: list[int] = []
-    units: list[int] = []
-    degree = room = 0
-    for i in order:
-        vec = candidates[i]
-        candidates[i] = None
-        d = candidate_degrees[i]
-        unit = frame_unit(max(vec), len(units))
-        if image is None:
-            gb.add(vec, {unit: 1})
-        else:
-            if d != degree:
-                if room:
-                    raise InvariantError(f"syzygy candidates do not span degree {degree}")
-                gb.complete_to(d)
-                degree = d
-                room = _standard_count(gb, frame, nvars, d) - targets[d]
-                if room < 0:
-                    raise InvariantError(f"standard terms fell below the image in degree {d}")
-            if not room or not gb.add_remainder(dict(vec), {unit: 1}):
-                continue
-            room -= 1
-        kept.append(vec)
-        degrees.append(d)
-        units.append(unit)
-    if room:
-        raise InvariantError(f"syzygy candidates do not span degree {degree}")
-    gb.complete()
-    return kept, degrees, units, gb
-
-
-def _unframe(vec: Vec, shift: int, units: Sequence[int]) -> Vec:
-    """A framed vector in term over position layout."""
-    out: Vec = {}
-    for t, c in vec.items():
-        comp = key_component(t)
-        out[((t - units[comp]) >> shift) - comp] = c
-    return out
 
 
 def free_resolution(I: Ideal, *, minimize: bool = True) -> Resolution:
@@ -478,7 +324,8 @@ def free_resolution(I: Ideal, *, minimize: bool = True) -> Resolution:
         raise ValueError("resolution of the zero ideal")
     frame, shift = [0], 0
     columns = [poly_to_vec(g) for g in gens]
-    _, degs, units, gb = _stage_pass(ring.p, nvars, frame, shift, columns, None)
+    _, degs, units, gb = _stage_pass(ring.p, nvars, frame, (0,), shift, columns, None)
+    gb.complete()
     if I._gb is None:
         # the generator pass completed a Groebner basis of I, and the
         # reduced basis is unique
@@ -494,9 +341,11 @@ def free_resolution(I: Ideal, *, minimize: bool = True) -> Resolution:
         image = _image_numerator(gb, frame, nvars)
         del gb  # the next pass needs only its relations and its image
         frame, shift = units, shift + COMP_BITS
-        cols, degs, units, gb = _stage_pass(ring.p, nvars, frame, shift, raw, image)
+        zeros = (0,) * len(frame)
+        cols, degs, units, gb = _stage_pass(ring.p, nvars, frame, zeros, shift, raw, image)
+        gb.complete()
         note(f"pruned to {len(cols)} minimal relations")
-        cols = [_unframe(c, shift, frame) for c in cols]
+        cols = [_unframe(c, shift, frame, range(len(frame))) for c in cols]
         matrices.append(GradedMatrix.from_columns(ring, tuple(twists[-1]), cols, degs))
         twists.append(degs)
         note(f"stage {len(matrices)}: {len(degs)} syzygies, degrees {sorted(set(degs))}")

@@ -6,6 +6,8 @@ from brforge.ideals import Ideal
 from brforge.poly import PolyRing
 from brforge.ring import Rng
 
+import oracles
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -44,6 +46,6 @@ def random_monomial_ideal(ring: PolyRing, rng: Rng, count: int, max_degree: int)
     gens = []
     for _ in range(count):
         d = 1 + rng.below(max_degree)
-        exps = ring.exponents_of_degree(d)
+        exps = oracles.exponents_of_degree(ring.nvars, d)
         gens.append(ring.from_dict({exps[rng.below(len(exps))]: 1}))
     return Ideal(ring, gens)

@@ -11,7 +11,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from brforge.engine import ModuleGB, minimal_generating_subset, tracked_syzygies, vec_degree
+from brforge.chern import ExpectedShape
+from brforge.engine import ModuleGB, minimal_generating_subset, vec_degree
 from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
 from brforge.resolution import GradedMatrix, Resolution
 from brforge.ring import key_component, key_exponents, monomial_key
@@ -79,6 +80,12 @@ def monomial_exponents(nvars: int, degree: int) -> list[tuple[int, ...]]:
         exps.append(degree + nvars - 2 - prev)
         out.append(tuple(exps))
     return out
+
+
+def exponents_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of the given total degree, descending in the
+    ring order (the order PolyRing.random_form draws them in)."""
+    return sorted(monomial_exponents(nvars, degree), key=monomial_key, reverse=True)
 
 
 def _add_exps(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -253,6 +260,47 @@ def dim_intersection_piece(
     return a + b - both
 
 
+def compose(A: GradedMatrix, B: GradedMatrix) -> GradedMatrix:
+    """The product A * B of two graded matrices (B applied first)."""
+    if B.row_twists != A.col_twists:
+        raise ValueError("twist mismatch in composition")
+    ring = A.ring
+    grid = []
+    for i in range(A.rows):
+        row = []
+        for k in range(B.cols):
+            acc = ring.zero
+            for j in range(A.cols):
+                a = A.entries[i][j]
+                b = B.entries[j][k]
+                if not a.is_zero() and not b.is_zero():
+                    acc = acc + a * b
+            row.append(acc)
+        grid.append(row)
+    return GradedMatrix(ring, grid, A.row_twists, B.col_twists)
+
+
+def step_dicts(shape: ExpectedShape) -> list[dict[int, int]]:
+    """The ranks of a shape per step, as {generator degree: rank}."""
+    return [dict(s) for s in shape.steps]
+
+
+def total_rank(shape: ExpectedShape) -> int:
+    """The sum of the ranks over every step of a shape."""
+    return sum(r for s in shape.steps for _, r in s)
+
+
+def cancel_adjacent(shape: ExpectedShape, step: int, degree: int, count: int = 1) -> ExpectedShape:
+    """The shape with `count` ghost summands of the given degree removed from
+    this step and the next one (a cancelling adjacent pair)."""
+    dicts = step_dicts(shape)
+    for k in (step, step + 1):
+        if k >= len(dicts) or dicts[k].get(degree, 0) < count:
+            raise ValueError(f"no rank to cancel at step {k}, degree {degree}")
+        dicts[k][degree] -= count
+    return ExpectedShape.from_dicts(dicts)
+
+
 # ---------------------------------------------------------------- evaluation
 
 
@@ -321,11 +369,31 @@ def pfaffian_scalar(m: list[list[int]], p: int) -> int:
 # new route can be compared against the old one.
 
 
+def term_over_position_syzygies(columns, p: int, ambient_twists) -> list:
+    """The syzygies as engine.tracked_syzygies built them before it ran the
+    stage passes: one tracked term over position pass, whose zero
+    reductions emit the combinations that produced them, plus unit
+    syzygies for the zero columns, then pruned to a minimal generating
+    subset in (degree, index) order, a zero column's unit read as degree 0."""
+    col_degrees = []
+    gb = ModuleGB(p, ambient_twists, track=True, use_chain=True)
+    syz = []
+    for idx, col in enumerate(columns):
+        if not col:
+            col_degrees.append(0)
+            syz.append({-idx: 1})
+            continue
+        col_degrees.append(vec_degree(col, ambient_twists))
+        gb.add(dict(col), {-idx: 1})
+    gb.complete()
+    syz.extend(gb.emitted)
+    return [syz[i] for i in minimal_generating_subset(syz, p, col_degrees)]
+
+
 def stepwise_resolution(I) -> Resolution:
     """The resolution as free_resolution built it before one pass per stage:
-    each stage is a separate tracked_syzygies call (a term over position
-    pass plus its own pruning pass) on the columns of the stage before.  No
-    minimization."""
+    each stage is a separate term_over_position_syzygies call on the
+    columns of the stage before.  No minimization."""
     ring = I.ring
     gens = list(I.gens)
     cols = [poly_to_vec(g) for g in gens]
@@ -334,7 +402,7 @@ def stepwise_resolution(I) -> Resolution:
     twists = [list(cur)]
     matrices = []
     while True:
-        syz = tracked_syzygies(cols, ring.p, ambient)
+        syz = term_over_position_syzygies(cols, ring.p, ambient)
         if not syz:
             break
         degs = [vec_degree(s, cur) for s in syz]

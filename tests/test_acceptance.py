@@ -175,7 +175,7 @@ def test_09_generalized_section_over_linked_base():
     assert run.section.regular
     assert run.report.degree == 13
     assert run.betti.as_dict() == {(0, 2): 1, (0, 3): 3, (1, 5): 7, (2, 6): 4}
-    assert run.shape.step_dicts() == [{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}]
+    assert oracles.step_dicts(run.shape) == [{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}]
     # the raw shape carries exactly one R(-5) and one R(-6) ghost pair
     # between the middle and last steps
     assert run.ghost_cancellations == {(1, 5): 1, (1, 6): 1}

@@ -99,13 +99,23 @@ class TestRes:
         assert err == "forge res: resolution exceeded the global bound\n"
 
 
-    def test_undercounted_standard_terms_exits_3(self, capsys, monkeypatch):
-        import brforge.resolution
+    def test_constant_generators(self, capsys, tmp_path, ring2):
+        path = tmp_path / "unit.id"
+        write_ideal(path, Ideal(ring2, [ring2.parse("3"), ring2.parse("1"), ring2.parse("z1")]))
+        code, out, err = run(["res", "--ideal", str(path)], capsys)
+        assert (code, err) == (0, "")
+        write_ideal(path, Ideal(ring2, [ring2.parse("1"), ring2.parse("2")]))
+        code, out, _ = run(["res", "--ideal", str(path), "--minimal"], capsys)
+        assert code == 0
+        s = summary_of(out)
+        assert s["description"] == "R <- R(-0) <- 0"
+        assert s["minimal"] is True
 
-        count = brforge.resolution._standard_count
-        monkeypatch.setattr(
-            brforge.resolution, "_standard_count", lambda *args: count(*args) - 1
-        )
+    def test_undercounted_standard_terms_exits_3(self, capsys, monkeypatch):
+        import brforge.engine
+
+        count = brforge.engine._standard_count
+        monkeypatch.setattr(brforge.engine, "_standard_count", lambda *args: count(*args) - 1)
         code, out, err = run(
             ["res", "--ideal", fixture("ci_quadrics_p4.id"), "--minimal"], capsys
         )

@@ -79,7 +79,7 @@ class TestCompletion:
 class TestTrackedSyzygies:
     def test_koszul_relations_of_variables(self, ring3):
         columns = [poly_to_vec(v) for v in ring3.variables()]
-        syz = tracked_syzygies(columns, 32003, (0,))
+        syz = tracked_syzygies(columns, 32003, (0,), ring3.nvars)
         assert len(syz) == 6
         degrees = [vec_degree(s, [1, 1, 1, 1]) for s in syz]
         assert degrees == [2] * 6
@@ -96,14 +96,14 @@ class TestTrackedSyzygies:
                 while f.is_zero():
                     f = ring2.random_form(1, rng)
                 cols.append(poly_to_vec(f))
-            syz = tracked_syzygies(cols, p, (0,))
+            syz = tracked_syzygies(cols, p, (0,), ring2.nvars)
             assert syz, "three forms in two variables always have relations"
             for s in syz:
                 assert apply_combination(s, cols, p, ring2.nvars) == {}
 
     def test_zero_column_gets_unit_syzygy(self, ring3):
         cols = [poly_to_vec(ring3.variable(0)), {}]
-        syz = tracked_syzygies(cols, 32003, (0,))
+        syz = tracked_syzygies(cols, 32003, (0,), ring3.nvars)
         assert {term(1, (0, 0, 0, 0)): 1} in syz
 
     def test_rank_two_syzygies(self, ring3):
@@ -111,7 +111,7 @@ class TestTrackedSyzygies:
         # relations of [(z0, z2), (z1, z3)] in R^2
         c0 = {term(0, (1, 0, 0, 0)): 1, term(1, (0, 0, 1, 0)): 1}
         c1 = {term(0, (0, 1, 0, 0)): 1, term(1, (0, 0, 0, 1)): 1}
-        syz = tracked_syzygies([c0, c1], 32003, (0, 0))
+        syz = tracked_syzygies([c0, c1], 32003, (0, 0), ring3.nvars)
         for s in syz:
             assert apply_combination(s, [c0, c1], 32003, ring3.nvars) == {}
 

@@ -4,6 +4,10 @@ Every name a module imports is used in it (the package __init__ re-exports
 by design and is skipped).  A name counts as used when the module reads it,
 names it in a quoted annotation, or lists it in __all__.
 
+Every import of a module sits at its top level, so the import graph is the
+one the module headers show and a lazy import cannot hide a cycle (the
+package __init__, which imports the command line on demand, is skipped).
+
 Progress goes through the protocol channel (brforge.protocol): no function
 takes a `log` callback, and only the command line module prints.
 
@@ -82,6 +86,36 @@ def test_scan_flags_an_unused_import():
     )
     assert unused_imports(source) == ["Optional (line 1)"]
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def nested_imports(source: str) -> list[str]:
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            faults.extend(
+                f"import (line {inner.lineno})"
+                for inner in ast.walk(node)
+                if isinstance(inner, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(set(faults))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert nested_imports(path.read_text()) == []
+
+
+def test_scan_flags_nested_imports():
+    source = (
+        "import os\n"
+        "if os:\n"
+        "    from typing import Optional\n"
+        "def f():\n"
+        "    import sys\n"
+        "    def g():\n"
+        "        from math import pi\n"
+    )
+    assert nested_imports(source) == ["import (line 5)", "import (line 7)"]
 
 
 def channel_faults(source: str, may_print: bool) -> list[str]:

@@ -16,6 +16,7 @@ from brforge.resolution import GradedMatrix, gorenstein_certificate
 from brforge.ring import Rng
 
 from conftest import fixture
+import oracles
 from oracles import degree_span, dim_intersection_piece
 
 
@@ -179,7 +180,7 @@ class TestGeneralizedRun:
         assert run.aci_type == (2, 3, 3, 3)
         assert run.section.regular
         assert run.section.degree == 6
-        assert run.shape.step_dicts() == [{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}]
+        assert oracles.step_dicts(run.shape) == [{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}]
         assert run.shape_matches
         assert run.report.degree == 13
         assert tuple(run.report.second_series) == (1, 3, 5, 4)

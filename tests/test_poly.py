@@ -4,6 +4,8 @@ import pytest
 
 from brforge.ring import Rng
 
+import oracles
+
 
 class TestParseFormat:
     def test_basic_forms(self, ring3):
@@ -13,8 +15,8 @@ class TestParseFormat:
 
     def test_zero_and_constants(self, ring3):
         assert ring3.parse("0").is_zero()
-        assert ring3.parse("17") == ring3.constant(17)
-        assert ring3.parse("-1") == ring3.constant(-1)
+        assert ring3.parse("17") == ring3.one.scale(17)
+        assert ring3.parse("-1") == ring3.one.scale(-1)
 
     def test_large_coefficients_reduce(self, ring3):
         # fixture files carry integers above the characteristic
@@ -67,10 +69,12 @@ class TestArithmetic:
 
 class TestDegreesAndShapes:
     def test_exponent_counts(self, ring3):
-        # number of monomials of degree d in n+1 variables
+        # number of monomials of degree d in n+1 variables, each listed once,
+        # descending in the ring order
         for d in range(6):
-            expected = math.comb(d + 3, 3)
-            assert len(ring3.exponents_of_degree(d)) == expected
+            keys = ring3._keys_of_degree(d)
+            assert len(keys) == math.comb(d + 3, 3)
+            assert [ring3.exponents(k) for k in keys] == oracles.exponents_of_degree(4, d)
 
     def test_random_form_homogeneous(self, ring3):
         rng = Rng(3)
