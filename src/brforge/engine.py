@@ -17,6 +17,23 @@ syzygy bookkeeping, so one reducer serves Groebner bases, normal forms,
 syzygy generation, and the value-tracked intersection and quotient
 constructions.
 
+A basis element stores its lead term, with coefficient 1, apart from its
+tail, the terms below the lead; basis() and reduced_basis() put them back
+together.  Two invariants keep the one reducer (_reduce) cheap:
+
+- Coefficients are canonical in [1, p) at rest: in every tail and tracked
+  value, every remainder, emitted relation and returned basis.  Only inside
+  _reduce, and in the S-vector and value handed to it, do they accumulate
+  unreduced products f * c with f = p - coeff; a term is taken mod p when
+  it is popped as the leading term, and the tracked value once at the end,
+  entries that are 0 mod p dropped.  So the same terms are reduced by the
+  same reducers as with every operation taken mod p.
+- The reducer of a term is the first element of its component, in append
+  order, whose lead divides it, and each basis memoizes that lookup (term
+  -> element).  Elements are only ever appended, so an element appended
+  later comes after the cached one, and a first divisor stays first.  A
+  miss is not cached, since a later element may divide the term.
+
 All inputs are assumed homogeneous, which makes pair selection by degree the
 normal strategy and makes degree-truncated runs sound.  The engine does not
 check it; ideals.Ideal and resolution.GradedMatrix raise ValueError on an
@@ -82,7 +99,6 @@ __all__ = [
     "InvariantError",
     "Vec",
     "vec_degree",
-    "vec_scale",
     "ModuleGB",
     "incremental_basis",
     "minimal_generating_subset",
@@ -105,21 +121,17 @@ def vec_degree(vec: Vec, twists: Sequence[int], shift: int = 0) -> int:
     return key_degree(t, shift) + twists[key_component(t)]
 
 
-def vec_scale(vec: Vec, c: int, p: int) -> Vec:
-    c %= p
-    if c == 1:
-        return dict(vec)
-    return {k: v * c % p for k, v in vec.items()}
-
-
 class _Elt:
-    __slots__ = ("vec", "track", "comp", "lead")
+    """A basis element: its lead term, whose coefficient is 1, and its tail,
+    the terms below the lead."""
 
-    def __init__(self, vec: Vec, track: Optional[Vec], lead: int):
-        self.vec = vec
+    __slots__ = ("lead", "tail", "track", "comp")
+
+    def __init__(self, lead: int, tail: Vec, track: Optional[Vec]):
+        self.lead = lead
+        self.tail = tail
         self.track = track
         self.comp = key_component(lead)
-        self.lead = lead
 
 
 class ModuleGB:
@@ -179,6 +191,7 @@ class ModuleGB:
         self._guard, self._mask = divisor_masks(shift)
         self.elts: list[_Elt] = []
         self.by_comp: dict[int, list[_Elt]] = {}
+        self._reducers: dict[int, _Elt] = {}  # term -> its first divisor
         self.pairs: list[tuple[int, int, int]] = []
         self.block: list[int] = []
         self.emitted: list[Vec] = []
@@ -191,16 +204,9 @@ class ModuleGB:
         """Add a nonzero column (monic-scaled internally) and queue its pairs."""
         if not vec:
             raise ValueError("cannot add the zero vector")
-        lead = max(vec)
-        lc = vec[lead]
-        if lc != 1:
-            inv = pow(lc, -1, self.p)
-            vec = vec_scale(vec, inv, self.p)
-            if value:
-                value = vec_scale(value, inv, self.p)
         if self.track and value is None:
             value = {}
-        self._append(_Elt(vec, value, lead), block)
+        self._append(max(vec), vec, value, block)
 
     def add_remainder(self, vec: Vec, value: Optional[Vec] = None) -> bool:
         """Reduce vec (destructively), carrying value along, and add the
@@ -213,7 +219,18 @@ class ModuleGB:
         self.add(rem, value)
         return True
 
-    def _append(self, elt: _Elt, block: int) -> None:
+    def _append(self, lead: int, vec: Vec, track: Optional[Vec], block: int) -> None:
+        """Append vec, scaled to lead with coefficient 1, and queue its pairs."""
+        p = self.p
+        lc = vec[lead]
+        if lc == 1:
+            tail = {t: c for t, c in vec.items() if t != lead}
+        else:
+            inv = pow(lc, -1, p)
+            tail = {t: c * inv % p for t, c in vec.items() if t != lead}
+            if track:
+                track = {t: c * inv % p for t, c in track.items()}
+        elt = _Elt(lead, tail, track)
         m = len(self.elts)
         shift = self.shift
         self.elts.append(elt)
@@ -223,7 +240,7 @@ class ModuleGB:
                 continue
             if block >= 0 and self.block[i] == block:
                 continue
-            d = key_degree(key_lcm(other.lead, elt.lead, shift), shift)
+            d = key_degree(key_lcm(other.lead, lead, shift), shift)
             if d > MAX_DEGREE:
                 raise ValueError(f"S-pair degree exceeds {MAX_DEGREE}")
             heappush(self.pairs, (d + self.twists[elt.comp], i, m))
@@ -231,58 +248,61 @@ class ModuleGB:
 
     # ---- reduction ----------------------------------------------------
 
-    def _find_reducer(self, t: int, skip: Optional[_Elt] = None):
+    def _find_reducer(self, t: int) -> Optional[_Elt]:
+        """The first element, in by_comp order, whose lead divides t; a hit
+        is memoized (see the module docstring)."""
+        g = self._reducers.get(t)
+        if g is not None:
+            return g
         guard = self._guard
         mask = self._mask
         for g in self.by_comp.get(key_component(t), ()):
-            if g is not skip and (g.lead - t + guard) & mask == guard:
+            if (g.lead - t + guard) & mask == guard:
+                self._reducers[t] = g
                 return g
         return None
 
-    def _reduce(self, vec: Vec, value: Optional[Vec], skip: Optional[_Elt] = None):
-        """Full normal form of vec (destructive); value carried along."""
+    def _reduce(self, vec: Vec, value: Optional[Vec]):
+        """Full normal form of vec (destructive); value carried along.
+
+        vec and value may hold any ints: products accumulate unreduced, and
+        a term is taken mod p when it is popped, the value at the end."""
         p = self.p
         lift = self._lift
-        # a min-heap of negated terms pops the largest term first
+        reducers = self._reducers
+        find = self._find_reducer
+        # a min-heap of negated terms pops the largest term first; every
+        # term of vec is on it exactly once, since a reducer only adds
+        # terms below the one popped
         heap = [-t for t in vec]
         heapify(heap)
         out: Vec = {}
         while heap:
             t = -heappop(heap)
-            coeff = vec.pop(t, 0)
+            coeff = vec.pop(t) % p
             if not coeff:
                 continue
-            red = self._find_reducer(t, skip)
+            red = reducers.get(t) or find(t)
             if red is None:
                 out[t] = coeff
                 continue
+            # vec -= coeff * x^shift * red; the lead cancels, so walk the tail
+            f = p - coeff
             shift = t - red.lead
-            self._axpy_heap(vec, heap, coeff, shift, red.vec, t)
-            # the vector just lost coeff * x^shift * red.vec, so the tracked
-            # combination must lose the same multiple of red's combination
-            if value is not None and red.track:
-                _axpy(value, p - coeff, shift << lift, red.track, p)
-        return out, value
-
-    def _axpy_heap(self, vec: Vec, heap: list, factor: int, shift: int, src: Vec, skip: int) -> None:
-        """vec -= factor * x^shift * src, pushing newly created terms."""
-        p = self.p
-        for rt, rc in src.items():
-            t = rt + shift
-            if t == skip:
-                continue
-            old = vec.get(t)
-            if old is None:
-                nv = (-factor * rc) % p
-                if nv:
-                    vec[t] = nv
-                    heappush(heap, -t)
-            else:
-                nv = (old - factor * rc) % p
-                if nv:
-                    vec[t] = nv
+            for rt, rc in red.tail.items():
+                u = rt + shift
+                old = vec.get(u)
+                if old is None:
+                    vec[u] = f * rc
+                    heappush(heap, -u)
                 else:
-                    del vec[t]
+                    vec[u] = old + f * rc
+            # the tracked combination loses the same multiple of red's
+            if value is not None and red.track:
+                _add_multiple(value, f, shift << lift, red.track)
+        if value:
+            value = {u: r for u, c in value.items() if (r := c % p)}
+        return out, value
 
     def normal_form(self, vec: Vec) -> Vec:
         """Normal form of a vector against the current basis (non-destructive)."""
@@ -313,31 +333,26 @@ class ModuleGB:
                     # were already processed: safe to drop this pair
                     if lik != lcm and ljk != lcm:
                         return
+        # the S-vector x^sj * gj - x^si * gi: the monic leads cancel
         p = self.p
         si = lcm - gi.lead
         sj = lcm - gj.lead
         svec: Vec = {}
-        _axpy(svec, p - 1, si, gi.vec, p)
-        _axpy(svec, 1, sj, gj.vec, p)
+        _add_multiple(svec, p - 1, si, gi.tail)
+        _add_multiple(svec, 1, sj, gj.tail)
         svalue: Optional[Vec] = None
         if self.track:
             lift = self._lift
             svalue = {}
-            _axpy(svalue, p - 1, si << lift, gi.track, p)
-            _axpy(svalue, 1, sj << lift, gj.track, p)
+            _add_multiple(svalue, p - 1, si << lift, gi.track)
+            _add_multiple(svalue, 1, sj << lift, gj.track)
         rem, remval = self._reduce(svec, svalue)
         if not rem:
             if self.track and remval:
                 self.emitted.append(remval)
             return
-        lead = max(rem)
-        lc = rem[lead]
-        if lc != 1:
-            inv = pow(lc, -1, p)
-            rem = vec_scale(rem, inv, p)
-            if remval is not None:
-                remval = vec_scale(remval, inv, p)
-        self._append(_Elt(rem, remval, lead), -1)
+        # rem comes out in descending order, lead first
+        self._append(next(iter(rem)), rem, remval, -1)
 
     def complete_to(self, degree: int) -> None:
         """Process every queued pair of S-degree <= degree."""
@@ -351,47 +366,29 @@ class ModuleGB:
     # ---- extraction ----------------------------------------------------
 
     def basis(self) -> list[Vec]:
-        return [g.vec for g in self.elts]
+        return [{g.lead: 1, **g.tail} for g in self.elts]
 
     def reduced_basis(self) -> list[Vec]:
         """Unique reduced basis: minimal lead terms, tails fully reduced,
-        monic, sorted ascending in the module order."""
+        monic, sorted ascending in the module order.  A tail's normal form
+        modulo the completed basis is unique, so every element of the
+        basis may reduce it."""
         if self.pairs:
             raise ValueError("complete() the basis first")
-        order_idx = sorted(range(len(self.elts)), key=lambda i: -self.elts[i].lead)
-        order_idx.reverse()  # ascending monomial order
         kept: list[_Elt] = []
-        for i in order_idx:
-            g = self.elts[i]
+        for g in sorted(self.elts, key=lambda g: g.lead):
             if not any(key_divides(h.lead, g.lead, self.shift) for h in kept):
                 kept.append(g)
-        # tail reduction against the final minimal set
-        saved_by_comp = self.by_comp
-        self.by_comp = {}
-        for g in kept:
-            self.by_comp.setdefault(g.comp, []).append(g)
-        out = []
-        for g in kept:
-            red, _ = self._reduce(dict(g.vec), None, skip=g)
-            out.append(red)
-        self.by_comp = saved_by_comp
-        return out
+        return [{g.lead: 1, **self._reduce(dict(g.tail), None)[0]} for g in kept]
 
 
-def _axpy(vec: Vec, factor: int, shift: int, src: Optional[Vec], p: int) -> None:
-    """vec += factor * x^shift * src   (in place, zero entries dropped)."""
+def _add_multiple(vec: Vec, factor: int, shift: int, src: Optional[Vec]) -> None:
+    """vec += factor * x^shift * src, in place and not reduced mod p."""
     if not src:
-        return
-    factor %= p
-    if factor == 0:
         return
     for rt, rc in src.items():
         t = rt + shift
-        nv = (vec.get(t, 0) + factor * rc) % p
-        if nv:
-            vec[t] = nv
-        else:
-            vec.pop(t, None)
+        vec[t] = vec.get(t, 0) + factor * rc
 
 
 def incremental_basis(

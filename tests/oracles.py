@@ -8,6 +8,7 @@ rather than tautology.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from typing import Sequence
 
@@ -15,7 +16,15 @@ from brforge.chern import ExpectedShape
 from brforge.engine import ModuleGB, minimal_generating_subset, vec_degree
 from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
 from brforge.resolution import GradedMatrix, Resolution
-from brforge.ring import key_component, key_exponents, monomial_key
+from brforge.ring import (
+    divisor_masks,
+    key_component,
+    key_degree,
+    key_divides,
+    key_exponents,
+    key_lcm,
+    monomial_key,
+)
 
 
 def term(comp: int, exps: Sequence[int]) -> int:
@@ -495,3 +504,218 @@ def hilbert_numerator_dense(gens: Sequence, nvars: int, p: int, upto: int) -> li
     for _ in range(nvars):
         series = [series[0]] + [b - a for a, b in zip(series, series[1:])]
     return series
+
+
+class _EagerElt:
+    __slots__ = ("vec", "track", "comp", "lead")
+
+    def __init__(self, vec: dict, track, lead: int):
+        self.vec = vec
+        self.track = track
+        self.comp = key_component(lead)
+        self.lead = lead
+
+
+class EagerModuleGB:
+    """engine.ModuleGB as it reduced before lazy coefficients: each element
+    keeps its whole vector, every term operation takes its result mod p and
+    drops a zero, the reducer is found by a linear first-divisor scan, and
+    reduced_basis reduces against the minimal elements alone, skipping the
+    one reduced.  Pair queue, criteria and tracking are those of ModuleGB,
+    so on the same calls both must give equal bases, remainders, values and
+    emitted relations.  `recreated` counts the terms that cancelled to zero
+    inside one reduction and were created again later in it."""
+
+    def __init__(self, p, twists, *, track=False, use_product=False, use_chain=False,
+                 shift=0, value_shift=0):
+        self.twists = tuple(twists)
+        if use_product and (len(self.twists) > 1 or shift):
+            raise ValueError("product criterion needs rank one, term over position")
+        self.p = p
+        self.track = track
+        self.shift = shift
+        self._lift = value_shift - shift
+        self._guard, self._mask = divisor_masks(shift)
+        self.elts: list[_EagerElt] = []
+        self.by_comp: dict[int, list[_EagerElt]] = {}
+        self.pairs: list[tuple[int, int, int]] = []
+        self.block: list[int] = []
+        self.emitted: list[dict] = []
+        self.use_product = use_product
+        self.use_chain = use_chain
+        self.recreated = 0
+
+    def add(self, vec, value=None, block=-1):
+        if not vec:
+            raise ValueError("cannot add the zero vector")
+        lead = max(vec)
+        lc = vec[lead]
+        if lc != 1:
+            inv = pow(lc, -1, self.p)
+            vec = _eager_scale(vec, inv, self.p)
+            if value:
+                value = _eager_scale(value, inv, self.p)
+        if self.track and value is None:
+            value = {}
+        self._append(_EagerElt(vec, value, lead), block)
+
+    def add_remainder(self, vec, value=None) -> bool:
+        rem, value = self._reduce(vec, value)
+        if not rem:
+            return False
+        self.add(rem, value)
+        return True
+
+    def _append(self, elt, block):
+        m = len(self.elts)
+        shift = self.shift
+        self.elts.append(elt)
+        self.block.append(block)
+        for i, other in enumerate(self.elts[:m]):
+            if other.comp != elt.comp:
+                continue
+            if block >= 0 and self.block[i] == block:
+                continue
+            d = key_degree(key_lcm(other.lead, elt.lead, shift), shift)
+            heappush(self.pairs, (d + self.twists[elt.comp], i, m))
+        self.by_comp.setdefault(elt.comp, []).append(elt)
+
+    def _find_reducer(self, t, skip=None):
+        for g in self.by_comp.get(key_component(t), ()):
+            if g is not skip and (g.lead - t + self._guard) & self._mask == self._guard:
+                return g
+        return None
+
+    def _reduce(self, vec, value, skip=None):
+        p = self.p
+        heap = [-t for t in vec]
+        heapify(heap)
+        out = {}
+        cancelled: set[int] = set()
+        while heap:
+            t = -heappop(heap)
+            coeff = vec.pop(t, 0)
+            if not coeff:
+                continue
+            red = self._find_reducer(t, skip)
+            if red is None:
+                out[t] = coeff
+                continue
+            shift = t - red.lead
+            self._axpy_heap(vec, heap, coeff, shift, red.vec, t, cancelled)
+            if value is not None and red.track:
+                _eager_axpy(value, p - coeff, shift << self._lift, red.track, p)
+        return out, value
+
+    def _axpy_heap(self, vec, heap, factor, shift, src, skip, cancelled):
+        """vec -= factor * x^shift * src, pushing newly created terms."""
+        p = self.p
+        for rt, rc in src.items():
+            t = rt + shift
+            if t == skip:
+                continue
+            old = vec.get(t)
+            if old is None:
+                nv = (-factor * rc) % p
+                if nv:
+                    if t in cancelled:
+                        self.recreated += 1
+                    vec[t] = nv
+                    heappush(heap, -t)
+            else:
+                nv = (old - factor * rc) % p
+                if nv:
+                    vec[t] = nv
+                else:
+                    del vec[t]
+                    cancelled.add(t)
+
+    def normal_form(self, vec):
+        return self._reduce(dict(vec), None)[0]
+
+    def _step(self):
+        d, i, j = heappop(self.pairs)
+        gi = self.elts[i]
+        gj = self.elts[j]
+        shift = self.shift
+        lcm = key_lcm(gi.lead, gj.lead, shift)
+        if self.use_product and lcm == gi.lead + gj.lead:
+            return
+        if self.use_chain:
+            for gk in self.by_comp.get(gi.comp, ()):
+                if gk is gi or gk is gj:
+                    continue
+                if key_divides(gk.lead, lcm, shift):
+                    lik = key_lcm(gi.lead, gk.lead, shift)
+                    ljk = key_lcm(gj.lead, gk.lead, shift)
+                    if lik != lcm and ljk != lcm:
+                        return
+        p = self.p
+        si = lcm - gi.lead
+        sj = lcm - gj.lead
+        svec: dict = {}
+        _eager_axpy(svec, p - 1, si, gi.vec, p)
+        _eager_axpy(svec, 1, sj, gj.vec, p)
+        svalue = None
+        if self.track:
+            svalue = {}
+            _eager_axpy(svalue, p - 1, si << self._lift, gi.track, p)
+            _eager_axpy(svalue, 1, sj << self._lift, gj.track, p)
+        rem, remval = self._reduce(svec, svalue)
+        if not rem:
+            if self.track and remval:
+                self.emitted.append(remval)
+            return
+        lead = max(rem)
+        lc = rem[lead]
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            rem = _eager_scale(rem, inv, p)
+            if remval is not None:
+                remval = _eager_scale(remval, inv, p)
+        self._append(_EagerElt(rem, remval, lead), -1)
+
+    def complete_to(self, degree):
+        while self.pairs and self.pairs[0][0] <= degree:
+            self._step()
+
+    def complete(self):
+        while self.pairs:
+            self._step()
+
+    def basis(self):
+        return [g.vec for g in self.elts]
+
+    def reduced_basis(self):
+        if self.pairs:
+            raise ValueError("complete() the basis first")
+        order = sorted(self.elts, key=lambda g: -g.lead)
+        order.reverse()  # ascending monomial order
+        kept: list[_EagerElt] = []
+        for g in order:
+            if not any(key_divides(h.lead, g.lead, self.shift) for h in kept):
+                kept.append(g)
+        saved_by_comp = self.by_comp
+        self.by_comp = {}
+        for g in kept:
+            self.by_comp.setdefault(g.comp, []).append(g)
+        out = [self._reduce(dict(g.vec), None, skip=g)[0] for g in kept]
+        self.by_comp = saved_by_comp
+        return out
+
+
+def _eager_scale(vec: dict, c: int, p: int) -> dict:
+    return {k: v * c % p for k, v in vec.items()}
+
+
+def _eager_axpy(vec: dict, factor: int, shift: int, src, p: int) -> None:
+    """vec += factor * x^shift * src, mod p, zero entries dropped."""
+    if not src:
+        return
+    for rt, rc in src.items():
+        t = rt + shift
+        nv = (vec.get(t, 0) + factor * rc) % p
+        if nv:
+            vec[t] = nv
+        else:
+            vec.pop(t, None)

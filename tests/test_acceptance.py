@@ -4,8 +4,8 @@ suites.
 Arithmetic is exact over GF(p), so every numeric comparison below is an
 equality, and the wall-clock bounds are the generous budgets the scenarios
 were sized for.  test_03 builds and resolves three projective-six
-constructions at about three seconds per seed on a 2-core machine, the
-slowest test here; everything else finishes in seconds.
+constructions in about 6 s in all (about 2 s per seed) on a 2-core
+machine, the slowest test here; everything else finishes in seconds.
 """
 
 import contextlib

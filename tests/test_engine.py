@@ -10,7 +10,7 @@ import pytest
 from brforge.engine import ModuleGB, minimal_generating_subset, tracked_syzygies, vec_degree
 from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
 from brforge.poly import PolyRing
-from brforge.ring import Rng
+from brforge.ring import COMP_BITS, Rng, frame_unit, monomial_key
 
 import oracles
 from oracles import term
@@ -170,3 +170,129 @@ class TestMinimalGeneratingSubset:
             poly_to_vec(ring3.parse("z0^2")),
         ]
         assert minimal_generating_subset(vecs, p, (0,)) == [1]
+
+
+class TestReducerMemo:
+    """The memo maps a term to the first element, in append order per
+    component, whose lead divides it; misses are never cached."""
+
+    def test_term_without_reducer_is_found_once_a_divisor_is_appended(self):
+        gb = ModuleGB(32003, (0,))
+        gb.add({term(0, (1, 0, 0)): 1})
+        t = term(0, (0, 2, 0))
+        assert gb._find_reducer(t) is None
+        assert gb.normal_form({t: 5}) == {t: 5}
+        gb.add({term(0, (0, 1, 0)): 1})
+        assert gb._find_reducer(t) is gb.elts[1]
+        assert gb.normal_form({t: 5}) == {}
+
+    def test_first_appended_divisor_stays_the_reducer(self):
+        gb = ModuleGB(32003, (0, 0))
+        gb.add({term(0, (1, 1, 0)): 1, term(0, (0, 2, 0)): 2})
+        gb.add({term(0, (1, 0, 0)): 1, term(0, (0, 1, 0)): 3})
+        t = term(0, (2, 1, 0))
+        assert gb._find_reducer(t) is gb.elts[0]
+        # later divisors of t, in its component and in another
+        gb.add({term(0, (2, 0, 0)): 1})
+        gb.add({term(1, (1, 0, 0)): 1})
+        gb.add({term(0, (0, 0, 1)): 1})
+        assert gb._find_reducer(t) is gb.elts[0]
+        assert gb._find_reducer(term(0, (3, 0, 0))) is gb.elts[1]
+
+
+# The differential kernel test: ModuleGB against oracles.EagerModuleGB, the
+# reducer that takes every term operation mod p, on the same calls.
+
+NVARS = 3
+
+
+def _random_monomials(rng, degree, count):
+    mons = oracles.monomial_exponents(NVARS, degree)
+    return {mons[rng.below(len(mons))] for _ in range(count)}
+
+
+def _random_vector(rng, p, frame, degree):
+    """A homogeneous vector of the given degree: each frame entry is
+    (degree of e_j, term of e_j as a function of the monomial's exponents)."""
+    vec = {}
+    for deg_j, place in frame:
+        if degree < deg_j or rng.below(3) == 0:
+            continue
+        for exps in _random_monomials(rng, degree - deg_j, 1 + rng.below(6)):
+            vec[place(exps)] = 1 + rng.below(p - 1)
+    return vec
+
+
+def _frames(rng, rank):
+    """(shift, value_shift, frame, value unit) for term over position with
+    twists 0, 1, 0 and for a Schreyer frame over random monomial leads."""
+    twists = (0, 1, 0)[:rank]
+    top = [(tw, lambda e, j=j: term(j, e)) for j, tw in enumerate(twists)]
+    yield 0, 0, top, lambda vec, idx: {-idx: 1}
+    leads = [sorted(_random_monomials(rng, 1 + rng.below(2), 1))[0] for _ in range(rank)]
+    units = [frame_unit(monomial_key(e), j) for j, e in enumerate(leads)]
+    framed = [
+        (sum(e), lambda m, u=u: (monomial_key(m) << COMP_BITS) + u) for e, u in zip(leads, units)
+    ]
+    yield COMP_BITS, 2 * COMP_BITS, framed, lambda vec, idx: {frame_unit(max(vec), idx): 1}
+
+
+def _in_range(vec, p):
+    return all(0 < c < p for c in vec.values())
+
+
+def _run_both(rng, p, rank, shift, value_shift, frame, unit, track):
+    use_product = rank == 1 and shift == 0 and rng.below(2) == 1
+    kwargs = dict(
+        track=track, use_chain=rng.below(4) > 0, use_product=use_product,
+        shift=shift, value_shift=value_shift,
+    )
+    twists = [0] * rank if shift else [(0, 1, 0)[j] for j in range(rank)]
+    lazy = ModuleGB(p, twists, **kwargs)
+    eager = oracles.EagerModuleGB(p, twists, **kwargs)
+    vecs = []
+    for _ in range(4 + rng.below(4)):
+        vec = _random_vector(rng, p, frame, 2 + rng.below(2))
+        if vec:
+            vecs.append(vec)
+    vecs.sort(key=lambda v: vec_degree(v, twists, shift))
+    for idx, vec in enumerate(vecs):
+        value = unit(vec, idx) if track else None
+        if rng.below(3) == 0:
+            lazy.add(dict(vec), value and dict(value))
+            eager.add(dict(vec), value and dict(value))
+        else:
+            d = vec_degree(vec, twists, shift)
+            lazy.complete_to(d)
+            eager.complete_to(d)
+            added = lazy.add_remainder(dict(vec), value and dict(value))
+            assert added == eager.add_remainder(dict(vec), value and dict(value))
+        probe = _random_vector(rng, p, frame, 3)
+        rem = lazy.normal_form(probe)
+        assert rem == eager.normal_form(probe)
+        assert _in_range(rem, p)
+    lazy.complete()
+    eager.complete()
+    assert lazy.basis() == eager.basis()
+    assert [g.track for g in lazy.elts] == [g.track for g in eager.elts]
+    assert lazy.emitted == eager.emitted
+    assert lazy.reduced_basis() == eager.reduced_basis()
+    for g in lazy.elts:
+        assert g.lead not in g.tail and all(t < g.lead for t in g.tail)
+        assert _in_range(g.tail, p) and _in_range(g.track or {}, p)
+    assert all(_in_range(v, p) and v for v in lazy.emitted)
+    assert all(_in_range(v, p) for v in lazy.reduced_basis())
+    return eager.recreated
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lazy_reducer_matches_the_eager_one(p):
+    rng = Rng(900 + p)
+    recreated = 0
+    for rank in (1, 2, 3):
+        for shift, value_shift, frame, unit in _frames(rng, rank):
+            for track in (False, True):
+                for _ in range(3):
+                    recreated += _run_both(rng, p, rank, shift, value_shift, frame, unit, track)
+    # some term cancelled to zero mid-reduction and came back later in it
+    assert recreated > 0

@@ -22,6 +22,10 @@ CASES = {
         "br", "--t", "1", "--r", "3", "--entry-deg", "1", "--sec-deg", "2", "--n", "3",
         "--seed", "11", "--verify", "--protocol",
     ],
+    "br_p6_seed1_protocol": [
+        "br", "--t", "1", "--r", "5", "--entry-deg", "1", "--sec-deg", "2", "--n", "6",
+        "--seed", "1", "--verify", "--protocol",
+    ],
     "section_koszul_p3": ["section", "--matrix", fixture("koszul_p3.mat"), "--deg", "1", "--seed", "1"],
     "top_points5": ["top", "--ideal", fixture("points5.id"), "--seed", "1"],
     "res_points5": ["res", "--ideal", fixture("points5.id"), "--minimal"],
