@@ -287,8 +287,9 @@ def _cmd_res(args) -> int:
     }
     if res.is_minimal():
         summary["regularity"] = regularity(res)
-        cert = gorenstein_certificate(I, resolution=res)
-        summary["gorenstein"] = cert.as_dict()
+        if I.affine_dimension() >= 0:  # the unit ideal has no certificate
+            cert = gorenstein_certificate(I, resolution=res)
+            summary["gorenstein"] = cert.as_dict()
     _emit(summary, out)
     return 0
 
@@ -587,7 +588,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("res", help="free resolution and Betti table")
     p.add_argument("--ideal", required=True, help="ideal file")
-    p.add_argument("--minimal", action="store_true", help="cancel unit entries")
+    p.add_argument("--minimal", action="store_true", help="minimize the resolution")
     common(p, seeded=False)
     p.set_defaults(fn=_cmd_res)
 

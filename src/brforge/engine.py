@@ -48,9 +48,11 @@ syzygy module (Schreyer's theorem).  A pruning pass takes the raw relations
 of the pass before as its candidates, in that frame: it keeps those not in
 the span of the ones kept so far, which prunes them to a minimal generating
 set, and emits the relations among the kept ones, framed for the next pass.
-A kernel (tracked_syzygies) is a generator pass and one pruning pass, which
-is not completed: a kernel needs no second syzygies.  A resolution
-(resolution.free_resolution) runs pruning passes until one emits nothing.
+stage_passes is the one loop that runs the passes: a resolution
+(resolution.free_resolution) runs its pruning passes until one emits
+nothing, and a kernel (tracked_syzygies) is its first stage, a generator
+pass and one pruning pass, which is not completed: a kernel needs no
+second syzygies.
 
 Most raw relations are redundant, and a dimension count drops them without
 a reduction (Traverso's Hilbert-driven idea, on the pruning step of the
@@ -78,7 +80,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import zip_longest
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .hilbert import hilbert_function_values, hilbert_numerator
 from .protocol import note
@@ -102,6 +104,7 @@ __all__ = [
     "ModuleGB",
     "incremental_basis",
     "minimal_generating_subset",
+    "stage_passes",
     "tracked_intersection",
     "tracked_syzygies",
 ]
@@ -159,13 +162,13 @@ class ModuleGB:
     Groebner basis among themselves whose internal pair reductions emit only
     zero values; pairs inside one block are skipped.
 
-    The product criterion is only sound for rank-one modules, and is
-    allowed in term over position only.  Both criteria
-    may run in tracked mode: a chain-dropped pair's syzygy is a monomial
-    combination of the two sub-pairs' syzygies, so the emitted set still
-    generates; a product-dropped pair loses its Koszul syzygy, whose value
-    the caller must compensate (for quotient and intersection passes it lies
-    in an ideal the caller already knows).
+    The chain criterion always runs; the product criterion (use_product)
+    is only sound for rank-one modules, and is allowed in term over
+    position only.  Both may run in tracked mode: a chain-dropped pair's
+    syzygy is a monomial combination of the two sub-pairs' syzygies, so the
+    emitted set still generates; a product-dropped pair loses its Koszul
+    syzygy, whose value the caller must compensate (for quotient and
+    intersection passes it lies in an ideal the caller already knows).
     """
 
     def __init__(
@@ -175,7 +178,6 @@ class ModuleGB:
         *,
         track: bool = False,
         use_product: bool = False,
-        use_chain: bool = False,
         shift: int = 0,
         value_shift: int = 0,
     ):
@@ -196,7 +198,6 @@ class ModuleGB:
         self.block: list[int] = []
         self.emitted: list[Vec] = []
         self.use_product = use_product
-        self.use_chain = use_chain
 
     # ---- construction -------------------------------------------------
 
@@ -320,19 +321,18 @@ class ModuleGB:
         # rank one: coprime leads are those whose lcm is their product
         if self.use_product and lcm == gi.lead + gj.lead:
             return
-        if self.use_chain:
-            guard = self._guard
-            mask = self._mask
-            for gk in self.by_comp.get(gi.comp, ()):
-                if gk is gi or gk is gj:
-                    continue
-                if (gk.lead - lcm + guard) & mask == guard:
-                    lik = key_lcm(gi.lead, gk.lead, shift)
-                    ljk = key_lcm(gj.lead, gk.lead, shift)
-                    # both sub-pairs lie in strictly smaller degree, hence
-                    # were already processed: safe to drop this pair
-                    if lik != lcm and ljk != lcm:
-                        return
+        guard = self._guard
+        mask = self._mask
+        for gk in self.by_comp.get(gi.comp, ()):
+            if gk is gi or gk is gj:
+                continue
+            if (gk.lead - lcm + guard) & mask == guard:
+                lik = key_lcm(gi.lead, gk.lead, shift)
+                ljk = key_lcm(gj.lead, gk.lead, shift)
+                # both sub-pairs lie in strictly smaller degree, hence
+                # were already processed: safe to drop this pair
+                if lik != lcm and ljk != lcm:
+                    return
         # the S-vector x^sj * gj - x^si * gi: the monic leads cancel
         p = self.p
         si = lcm - gi.lead
@@ -410,7 +410,7 @@ def incremental_basis(
     degree are then tested only until its count is reached, so the same
     indices are kept with fewer reductions.
     """
-    inc = ModuleGB(p, twists, use_product=len(twists) == 1, use_chain=True)
+    inc = ModuleGB(p, twists, use_product=len(twists) == 1)
     for v in seed:
         inc.add(dict(v), block=0)
     degrees = {i: vec_degree(v, twists) for i, v in enumerate(vecs) if v}
@@ -449,7 +449,7 @@ def tracked_intersection(
     would silently drop cross Koszul syzygies, whose values are honest
     intersection elements.
     """
-    gb = ModuleGB(p, twists, track=True, use_chain=True)
+    gb = ModuleGB(p, twists, track=True)
     for v in first:
         gb.add(dict(v), dict(v), block=0)
     for v in second:
@@ -525,7 +525,7 @@ def _stage_pass(
     The basis is complete through the last degree pruned; complete() it
     for the relations among the kept columns.
     """
-    gb = ModuleGB(p, twists, track=True, use_chain=True, shift=shift, value_shift=shift + COMP_BITS)
+    gb = ModuleGB(p, twists, track=True, shift=shift, value_shift=shift + COMP_BITS)
     candidate_degrees = [vec_degree(vec, twists, shift) for vec in candidates]
     order = range(len(candidates))
     if image is not None:
@@ -572,36 +572,65 @@ def _unframe(vec: Vec, shift: int, units: Sequence[int], comps: Sequence[int]) -
     return out
 
 
+def stage_passes(
+    columns: Sequence[Vec],
+    p: int,
+    twists: Sequence[int],
+    nvars: int,
+    on_basis: Optional[Callable[[list[Vec]], None]] = None,
+) -> Iterator[list[Vec]]:
+    """The stage passes of a resolution of the map with these columns (see
+    the module docstring), one stage at a time: the minimal generators of
+    each syzygy module, in term over position over the columns of the
+    stage before, in ascending degree.  The unit syzygies of the zero
+    columns come first in the first stage.  It stops at the first stage
+    without relations.
+
+    The generator pass takes the nonzero columns, with the twists shifted
+    to start at 0 (a syzygy reads only differences of degrees, and the
+    Hilbert counts need them nonnegative).  Each pruning pass takes the raw
+    relations of the pass before; a framed column's degree reads that of
+    its lead's monomial, so the pass's twist for a column is that of the
+    column's lead component.  A pass is completed, for the relations of the
+    next stage, only when the next stage is asked for, and freed before the
+    pass after it is built.  on_basis, when given, receives the reduced
+    basis the generator pass completed.
+    """
+    base = min(twists, default=0)
+    twists = [t - base for t in twists]
+    comps: Sequence[int] = [j for j, col in enumerate(columns) if col]
+    syzygies: list[Vec] = [{-j: 1} for j, col in enumerate(columns) if not col]
+    frame, shift = [-r for r in range(len(twists))], 0
+    cols = [columns[j] for j in comps]
+    cols, _, units, gb = _stage_pass(p, nvars, frame, twists, shift, cols, None)
+    gb.complete()
+    if on_basis is not None:
+        on_basis(gb.reduced_basis())
+    while True:
+        raw = gb.emitted
+        note(f"syzygy pass: {len(gb.elts)} basis elements, {len(syzygies) + len(raw)} raw relations")
+        if raw:
+            image = _image_numerator(gb, frame, nvars)
+            twists = [twists[key_component(max(col))] for col in cols]
+            del gb  # the pruning pass needs only the relations and their image
+            frame, shift = units, shift + COMP_BITS
+            cols, _, units, gb = _stage_pass(p, nvars, frame, twists, shift, raw, image)
+            syzygies.extend(_unframe(vec, shift, frame, comps) for vec in cols)
+        note(f"pruned to {len(syzygies)} minimal relations")
+        if syzygies:
+            yield syzygies
+        if not raw:
+            return
+        syzygies, comps = [], range(len(cols))
+        gb.complete()
+
+
 def tracked_syzygies(
     columns: Sequence[Vec], p: int, ambient_twists: Sequence[int], nvars: int
 ) -> list[Vec]:
     """Minimal generators of the syzygy module of the given columns, in
     term over position over the columns: the unit syzygies of the zero
-    columns first, then the rest in ascending degree.
-
-    The first two stage passes of a resolution (see the module docstring):
-    the generator pass over the nonzero columns, with the ambient twists,
-    and one pruning pass over its raw relations.
-    """
-    # a kernel reads only differences of degrees, and the Hilbert counts
-    # need them nonnegative
-    base = min(ambient_twists, default=0)
-    twists = [t - base for t in ambient_twists]
-    nonzero = [j for j, col in enumerate(columns) if col]
-    cols = [columns[j] for j in nonzero]
-    # a framed column's degree reads that of its lead's monomial, so its
-    # twist is that of the lead's component
-    framed_twists = [twists[key_component(max(col))] for col in cols]
-    out: list[Vec] = [{-j: 1} for j, col in enumerate(columns) if not col]
-    frame = [-r for r in range(len(twists))]
-    _, _, units, gb = _stage_pass(p, nvars, frame, twists, 0, cols, None)
-    gb.complete()
-    raw = gb.emitted
-    note(f"syzygy pass: {len(gb.elts)} basis elements, {len(out) + len(raw)} raw relations")
-    if raw:
-        image = _image_numerator(gb, frame, nvars)
-        del gb  # the pruning pass needs only the relations and their image
-        kept = _stage_pass(p, nvars, units, framed_twists, COMP_BITS, raw, image)[0]
-        out.extend(_unframe(vec, COMP_BITS, units, nonzero) for vec in kept)
-    note(f"pruned to {len(out)} minimal relations")
-    return out
+    columns first, then the rest in ascending degree.  The first stage of
+    stage_passes, whose pruning pass is not completed: a kernel needs no
+    second syzygies."""
+    return next(stage_passes(columns, p, ambient_twists, nvars), [])

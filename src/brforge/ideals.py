@@ -199,7 +199,7 @@ def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     m = len(targets)
     maxdeg = max(g.degree() for g in targets)
     twists = tuple(maxdeg - g.degree() for g in targets)
-    gb = ModuleGB(p, twists, track=True, use_chain=True, use_product=(m == 1))
+    gb = ModuleGB(p, twists, track=True, use_product=(m == 1))
     for f in I.groebner():
         for comp in range(m):
             gb.add(poly_to_vec(f, comp), {}, block=comp)

@@ -61,7 +61,7 @@ def module_intersection(B: GradedMatrix, C: GradedMatrix) -> GradedMatrix:
     twists = B.row_twists
 
     def completed(M: GradedMatrix) -> list:
-        gb = ModuleGB(p, twists, use_chain=True)
+        gb = ModuleGB(p, twists)
         for col in M.columns():
             if col:
                 gb.add(col)

@@ -296,11 +296,6 @@ class Polynomial:
         p = self.ring.p
         return Polynomial(self.ring, tuple((k, cc * c % p) for k, cc in self.terms))
 
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.terms[0][1]))
-
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
@@ -345,28 +340,6 @@ class FreeModuleElement:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)
-
-    def degree(self) -> int | None:
-        """Degree of a homogeneous element, None for zero."""
-        degs = set()
-        for e, tw in zip(self.entries, self.twists):
-            if not e.is_zero():
-                degs.add(e.degree() + tw)
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def is_homogeneous(self) -> bool:
-        try:
-            self.degree()
-        except ValueError:
-            return False
-        for e, _ in zip(self.entries, self.twists):
-            if not e.is_homogeneous()[0]:
-                return False
-        return True
 
     def __eq__(self, other: object) -> bool:
         return (

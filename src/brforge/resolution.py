@@ -1,13 +1,13 @@
 """Graded matrices, syzygies, free resolutions, and Betti data.
 
-Resolutions and kernels are built by the engine's stage passes (see
-engine for the passes and the Hilbert-driven pruning): the generator pass
-takes every generator of the ideal as a column, and the pass of each later
-stage, in the Schreyer order the stage before induced, prunes the raw
-relations of the stage before to a minimal generating set.  The resolution
-of a minimally generated ideal therefore comes out minimal.  minimize()
-handles the general case by cancelling unit entries, carrying the induced
-operations into both neighbouring matrices and the generator row.
+Resolutions and kernels are built by the engine's stage passes
+(engine.stage_passes; see engine for the passes and the Hilbert-driven
+pruning): the generator pass takes every generator of the ideal as a
+column, and the pass of each later stage, in the Schreyer order the stage
+before induced, prunes the raw relations of the stage before to a minimal
+generating set.  The resolution of a minimally generated ideal therefore
+comes out minimal, and minimize() covers the general case by resolving a
+minimal generating subset of the generators.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .engine import Vec, _image_numerator, _stage_pass, _unframe, tracked_syzygies, vec_degree
+from .engine import Vec, minimal_generating_subset, stage_passes, tracked_syzygies, vec_degree
 from .hilbert import hilbert_report
 from .ideals import Ideal, InvariantError, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
-from .protocol import note
-from .ring import COMP_BITS, key_component
+from .protocol import note, recording
+from .ring import key_component
 
 __all__ = [
     "GradedMatrix",
@@ -77,9 +77,6 @@ class GradedMatrix:
     @property
     def cols(self) -> int:
         return len(self.col_twists)
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -166,7 +163,7 @@ class BettiTable:
 class Resolution:
     """Chain of graded matrices resolving an ideal.
 
-    generators: images of the F_0 basis (kept in sync through minimize).
+    generators: images of the F_0 basis.
     twists[k]: generator degrees of F_k.  matrices[k]: the map F_{k+1} -> F_k.
     """
 
@@ -216,78 +213,26 @@ class Resolution:
         return f"R <- {chain} <- 0"
 
     def minimize(self) -> "Resolution":
-        """Cancel unit entries until none remain, propagating the induced
-        column/row operations to the neighbouring matrices and generators."""
+        """The minimal resolution of the ideal the generators span.
+
+        Each stage pass keeps a minimal generating set of its syzygy
+        module, so every matrix after the first is minimal, and the first
+        is when the generators are: a unit entry in column j, row i of
+        the first matrix is a relation with a constant coefficient on
+        generator i, which then lies in the span of the others.  So the
+        unit pairs are one per redundant generator, and resolving a
+        minimal generating subset of the generators (in index order)
+        cancels them all.  A resolution that is already minimal is
+        returned as it is."""
+        if self.is_minimal():
+            return self
         ring = self.ring
-        gens = list(self.generators)
-        twists = [list(t) for t in self.twists]
-        mats = [[list(row) for row in M.entries] for M in self.matrices]
-        cancelled = 0
-
-        def find_unit():
-            for k, M in enumerate(mats):
-                for i in range(len(twists[k])):
-                    for j in range(len(twists[k + 1])):
-                        if twists[k + 1][j] == twists[k][i] and not M[i][j].is_zero():
-                            return k, i, j
-            return None
-
-        while True:
-            pos = find_unit()
-            if pos is None:
-                break
-            k, i, j = pos
-            cancelled += 1
-            M = mats[k]
-            inv = ring.field.inv(M[i][j].leading_coefficient())
-            # clear row i using column ops; mirror as row ops on the next matrix
-            for l in range(len(twists[k + 1])):
-                if l == j or M[i][l].is_zero():
-                    continue
-                q = M[i][l].scale(inv)
-                for m in range(len(twists[k])):
-                    M[m][l] = M[m][l] - q * M[m][j]
-                if k + 1 < len(mats):
-                    nxt = mats[k + 1]
-                    for c2 in range(len(twists[k + 2])):
-                        nxt[j][c2] = nxt[j][c2] + q * nxt[l][c2]
-            # clear column j using row ops; mirror on the previous matrix/generators
-            for m in range(len(twists[k])):
-                if m == i or M[m][j].is_zero():
-                    continue
-                q = M[m][j].scale(inv)
-                for l in range(len(twists[k + 1])):
-                    M[m][l] = M[m][l] - q * M[i][l]
-                if k > 0:
-                    prev = mats[k - 1]
-                    for r in range(len(twists[k - 1])):
-                        prev[r][i] = prev[r][i] + q * prev[r][m]
-                else:
-                    gens[i] = gens[i] + q * gens[m]
-            # drop the cancelled pair of summands
-            del twists[k][i]
-            del twists[k + 1][j]
-            del M[i]
-            for row in M:
-                del row[j]
-            if k > 0:
-                for row in mats[k - 1]:
-                    del row[i]
-            else:
-                del gens[i]
-            if k + 1 < len(mats):
-                del mats[k + 1][j]
-        while twists and not twists[-1]:
-            twists.pop()
-            mats.pop()
-        if any(not t for t in twists):
-            raise InvariantError("interior stage collapsed during minimization")
-        if cancelled:
-            note(f"minimization cancelled {cancelled} unit pairs")
-        out_mats = [
-            GradedMatrix(ring, mats[k], twists[k], twists[k + 1]) for k in range(len(mats))
-        ]
-        res = Resolution(ring, gens, twists, out_mats)
+        gens = self.generators
+        vecs = [poly_to_vec(g) for g in gens]
+        kept = sorted(minimal_generating_subset(vecs, ring.p, (0,)))
+        with recording(None):
+            res = free_resolution(Ideal(ring, [gens[i] for i in kept]), minimize=False)
+        note(f"minimization cancelled {len(gens) - len(kept)} unit pairs")
         if not res.is_minimal():
             raise InvariantError("unit entries survived minimization")
         return res
@@ -303,7 +248,7 @@ def syzygy_matrix(M: GradedMatrix) -> GradedMatrix:
 
 def free_resolution(I: Ideal, *, minimize: bool = True) -> Resolution:
     """Stepwise free resolution of the ideal's generators, one tracked pass
-    per stage.
+    per stage (engine.stage_passes).
 
     The first pass takes every generator as a column.  The pass of each
     later stage works in the Schreyer order the stage before induced and
@@ -311,42 +256,28 @@ def free_resolution(I: Ideal, *, minimize: bool = True) -> Resolution:
     minimal generating set, keeping a relation when it is not in the span
     of those kept so far, and it emits the relations among the kept ones,
     already framed for the next pass.  With minimally generated input the
-    result is already minimal, and minimize=True runs unit cancellation to
-    cover the general case.
+    result is already minimal; minimize=True resolves a minimal generating
+    subset instead when it is not (see Resolution.minimize).
 
     The generator pass completes a Groebner basis of I; when I has none
     cached yet, its reduced basis becomes I's.
     """
     ring = I.ring
-    nvars = ring.nvars
     gens = list(I.gens)
     if not gens:
         raise ValueError("resolution of the zero ideal")
-    frame, shift = [0], 0
+
+    def keep_basis(basis: list[Vec]) -> None:
+        # the reduced basis is unique, so it is I's
+        I._gb = tuple(vec_to_poly(ring, v) for v in basis)
+
     columns = [poly_to_vec(g) for g in gens]
-    _, degs, units, gb = _stage_pass(ring.p, nvars, frame, (0,), shift, columns, None)
-    gb.complete()
-    if I._gb is None:
-        # the generator pass completed a Groebner basis of I, and the
-        # reduced basis is unique
-        I._gb = tuple(vec_to_poly(ring, v) for v in gb.reduced_basis())
-    twists = [degs]
+    passes = stage_passes(columns, ring.p, (0,), ring.nvars, keep_basis if I._gb is None else None)
+    twists = [[vec_degree(col, (0,)) for col in columns]]
     matrices: list[GradedMatrix] = []
-    while True:
-        raw = gb.emitted
-        note(f"syzygy pass: {len(gb.elts)} basis elements, {len(raw)} raw relations")
-        if not raw:
-            note("pruned to 0 minimal relations")
-            break
-        image = _image_numerator(gb, frame, nvars)
-        del gb  # the next pass needs only its relations and its image
-        frame, shift = units, shift + COMP_BITS
-        zeros = (0,) * len(frame)
-        cols, degs, units, gb = _stage_pass(ring.p, nvars, frame, zeros, shift, raw, image)
-        gb.complete()
-        note(f"pruned to {len(cols)} minimal relations")
-        cols = [_unframe(c, shift, frame, range(len(frame))) for c in cols]
-        matrices.append(GradedMatrix.from_columns(ring, tuple(twists[-1]), cols, degs))
+    for syz in passes:
+        degs = [vec_degree(s, twists[-1]) for s in syz]
+        matrices.append(GradedMatrix.from_columns(ring, tuple(twists[-1]), syz, degs))
         twists.append(degs)
         note(f"stage {len(matrices)}: {len(degs)} syzygies, degrees {sorted(set(degs))}")
         if len(matrices) > ring.nvars + 1:
@@ -395,8 +326,11 @@ def gorenstein_certificate(
     """Certificate for the arithmetically Gorenstein property of a saturated
     homogeneous ideal: Cohen-Macaulay (resolution length = codim - 1, since
     the ideal rather than the quotient is resolved), last module of rank one,
-    and a symmetric h-vector."""
+    and a symmetric h-vector.  The unit ideal, whose quotient is zero, has
+    none (ValueError)."""
     report = hilbert_report(I)
+    if report.affine_dimension < 0:
+        raise ValueError("the unit ideal has no Gorenstein certificate")
     codim = report.codimension
     res = resolution if resolution is not None else free_resolution(I)
     if not res.is_minimal():

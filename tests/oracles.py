@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Sequence
 
 from brforge.chern import ExpectedShape
-from brforge.engine import ModuleGB, minimal_generating_subset, vec_degree
+from brforge.engine import InvariantError, ModuleGB, minimal_generating_subset, vec_degree
 from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
 from brforge.resolution import GradedMatrix, Resolution
 from brforge.ring import (
@@ -385,7 +385,7 @@ def term_over_position_syzygies(columns, p: int, ambient_twists) -> list:
     syzygies for the zero columns, then pruned to a minimal generating
     subset in (degree, index) order, a zero column's unit read as degree 0."""
     col_degrees = []
-    gb = ModuleGB(p, ambient_twists, track=True, use_chain=True)
+    gb = ModuleGB(p, ambient_twists, track=True)
     syz = []
     for idx, col in enumerate(columns):
         if not col:
@@ -426,6 +426,84 @@ def stepwise_resolution(I) -> Resolution:
     return Resolution(ring, gens, twists, matrices)
 
 
+def cancel_units(res: Resolution) -> tuple[Resolution, int]:
+    """The resolution as Resolution.minimize built it before it resolved a
+    minimal generating subset, and the count of unit pairs cancelled: each
+    unit entry is cancelled by clearing its row with column operations and
+    its column with row operations, mirrored as row operations on the next
+    matrix and column operations on the previous one (or on the
+    generators), until no unit entry is left."""
+    ring = res.ring
+    gens = list(res.generators)
+    twists = [list(t) for t in res.twists]
+    mats = [[list(row) for row in M.entries] for M in res.matrices]
+    cancelled = 0
+
+    def find_unit():
+        for k, M in enumerate(mats):
+            for i in range(len(twists[k])):
+                for j in range(len(twists[k + 1])):
+                    if twists[k + 1][j] == twists[k][i] and not M[i][j].is_zero():
+                        return k, i, j
+        return None
+
+    while True:
+        pos = find_unit()
+        if pos is None:
+            break
+        k, i, j = pos
+        cancelled += 1
+        M = mats[k]
+        inv = ring.field.inv(M[i][j].leading_coefficient())
+        # clear row i using column ops; mirror as row ops on the next matrix
+        for l in range(len(twists[k + 1])):
+            if l == j or M[i][l].is_zero():
+                continue
+            q = M[i][l].scale(inv)
+            for m in range(len(twists[k])):
+                M[m][l] = M[m][l] - q * M[m][j]
+            if k + 1 < len(mats):
+                nxt = mats[k + 1]
+                for c2 in range(len(twists[k + 2])):
+                    nxt[j][c2] = nxt[j][c2] + q * nxt[l][c2]
+        # clear column j using row ops; mirror on the previous matrix/generators
+        for m in range(len(twists[k])):
+            if m == i or M[m][j].is_zero():
+                continue
+            q = M[m][j].scale(inv)
+            for l in range(len(twists[k + 1])):
+                M[m][l] = M[m][l] - q * M[i][l]
+            if k > 0:
+                prev = mats[k - 1]
+                for r in range(len(twists[k - 1])):
+                    prev[r][i] = prev[r][i] + q * prev[r][m]
+            else:
+                gens[i] = gens[i] + q * gens[m]
+        # drop the cancelled pair of summands
+        del twists[k][i]
+        del twists[k + 1][j]
+        del M[i]
+        for row in M:
+            del row[j]
+        if k > 0:
+            for row in mats[k - 1]:
+                del row[i]
+        else:
+            del gens[i]
+        if k + 1 < len(mats):
+            del mats[k + 1][j]
+    while twists and not twists[-1]:
+        twists.pop()
+        mats.pop()
+    if any(not t for t in twists):
+        raise InvariantError("interior stage collapsed during minimization")
+    out_mats = [GradedMatrix(ring, mats[k], twists[k], twists[k + 1]) for k in range(len(mats))]
+    out = Resolution(ring, gens, twists, out_mats)
+    if not out.is_minimal():
+        raise InvariantError("unit entries survived minimization")
+    return out, cancelled
+
+
 def unpruned_quotient(I, targets: Sequence) -> Ideal:
     """(I : (targets)) as ideal_quotient computed it before the targets were
     pruned: one tracked pass on every nonzero target, rank one (with the
@@ -440,7 +518,6 @@ def unpruned_quotient(I, targets: Sequence) -> Ideal:
         p,
         tuple(maxdeg - g.degree() for g in targets),
         track=True,
-        use_chain=True,
         use_product=(m == 1),
     )
     for f in I.groebner():
@@ -465,7 +542,7 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 def batch_groebner(I: Ideal) -> tuple:
     """I's reduced Groebner basis by the batch route: every generator added
     unreduced, all pairs queued at once, then one completion."""
-    gb = ModuleGB(I.ring.p, (0,), use_product=True, use_chain=True)
+    gb = ModuleGB(I.ring.p, (0,), use_product=True)
     for g in I.gens:
         gb.add(poly_to_vec(g))
     gb.complete()
@@ -477,7 +554,7 @@ def canonical_generators(I: Ideal) -> tuple:
     keeps: each one, in ascending order, tested against a chain-criterion
     basis of those kept before it, completed through its degree."""
     basis = batch_groebner(I)
-    inc = ModuleGB(I.ring.p, (0,), use_chain=True)
+    inc = ModuleGB(I.ring.p, (0,))
     kept = []
     for g in basis:
         inc.complete_to(g.degree())

@@ -219,7 +219,7 @@ def test_10a_s_vectors_of_completed_bases_reduce_to_zero():
     for s in range(100):
         ring = P2 if s % 2 else P3
         I = random_ideal(ring, Rng(5000 + s), 2 + s % 2, 2)
-        gb = ModuleGB(32003, (0,), use_chain=True, use_product=True)
+        gb = ModuleGB(32003, (0,), use_product=True)
         for g in I.gens:
             gb.add(poly_to_vec(g))
         gb.complete()

@@ -110,6 +110,8 @@ class TestRes:
         s = summary_of(out)
         assert s["description"] == "R <- R(-0) <- 0"
         assert s["minimal"] is True
+        # the unit ideal has no Gorenstein certificate
+        assert "gorenstein" not in s
 
     def test_undercounted_standard_terms_exits_3(self, capsys, monkeypatch):
         import brforge.engine

@@ -37,7 +37,7 @@ def vec_of(ring, text, comp=0):
 class TestCompletion:
     def test_twisted_cubic_buchberger(self, ring3):
         gens = ["z1^2-z0*z2", "z1*z2-z0*z3", "z2^2-z1*z3"]
-        gb = ModuleGB(32003, (0,), use_chain=True, use_product=True)
+        gb = ModuleGB(32003, (0,), use_product=True)
         for g in gens:
             gb.add(vec_of(ring3, g))
         gb.complete()
@@ -122,7 +122,7 @@ class TestTrackedValues:
         # so every emitted value must equal the combination it claims to be
         p = 32003
         polys = [ring3.parse("z0*z1-z2*z3"), ring3.parse("z0^2"), ring3.parse("z1^2-z0*z2")]
-        gb = ModuleGB(p, (0,), track=True, use_chain=True)
+        gb = ModuleGB(p, (0,), track=True)
         cols = [poly_to_vec(f) for f in polys]
         for c in cols:
             gb.add(dict(c), dict(c))
@@ -137,7 +137,7 @@ class TestTrackedValues:
         p = 32003
         f = poly_to_vec(ring3.parse("z0"))
         g = poly_to_vec(ring3.parse("z1"))
-        gb = ModuleGB(p, (0,), track=True, use_chain=True)
+        gb = ModuleGB(p, (0,), track=True)
         gb.add(dict(f), {}, block=0)
         gb.add(dict(g), {}, block=0)
         gb.complete()
@@ -243,13 +243,11 @@ def _in_range(vec, p):
 
 def _run_both(rng, p, rank, shift, value_shift, frame, unit, track):
     use_product = rank == 1 and shift == 0 and rng.below(2) == 1
-    kwargs = dict(
-        track=track, use_chain=rng.below(4) > 0, use_product=use_product,
-        shift=shift, value_shift=value_shift,
-    )
+    rng.below(4)  # the draw that once chose the chain criterion keeps the stream
+    kwargs = dict(track=track, use_product=use_product, shift=shift, value_shift=value_shift)
     twists = [0] * rank if shift else [(0, 1, 0)[j] for j in range(rank)]
     lazy = ModuleGB(p, twists, **kwargs)
-    eager = oracles.EagerModuleGB(p, twists, **kwargs)
+    eager = oracles.EagerModuleGB(p, twists, use_chain=True, **kwargs)
     vecs = []
     for _ in range(4 + rng.below(4)):
         vec = _random_vector(rng, p, frame, 2 + rng.below(2))

@@ -11,6 +11,9 @@ package __init__, which imports the command line on demand, is skipped).
 Progress goes through the protocol channel (brforge.protocol): no function
 takes a `log` callback, and only the command line module prints.
 
+No module imports an underscore name from another brforge module: what
+one module keeps private, another does not reach into.
+
 No module holds an assert statement: `python -O` strips them, so a broken
 invariant raises InvariantError instead.
 """
@@ -170,3 +173,30 @@ def test_no_assert_statements(path):
 def test_scan_flags_assert_statements():
     source = "def f(x):\n    assert x, 'x'\n    return x  # assert\n"
     assert assert_statements(source) == ["assert (line 2)"]
+
+
+def private_imports(source: str) -> list[str]:
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "brforge")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_scan_flags_private_imports():
+    source = (
+        "from .engine import Vec, _stage_pass\n"
+        "from brforge.ring import _keys\n"
+        "from . import _helpers\n"
+        "from .cli import main as _main\n"
+        "from typing import _Final\n"
+    )
+    assert private_imports(source) == ["_stage_pass (line 1)", "_keys (line 2)", "_helpers (line 3)"]

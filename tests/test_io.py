@@ -77,7 +77,7 @@ class TestMatrixFiles:
         assert N.row_twists == M.row_twists
         assert N.col_twists == M.col_twists
         assert all(
-            str(N.entry(i, j)) == str(M.entry(i, j))
+            str(N.entries[i][j]) == str(M.entries[i][j])
             for i in range(M.rows)
             for j in range(M.cols)
         )
@@ -139,4 +139,4 @@ class TestMatrixFiles:
     def test_fixture_zero_entries(self):
         M = read_matrix(fixture("skew5.mat"))
         assert M.rows == M.cols == 5
-        assert all(M.entry(i, i).is_zero() for i in range(5))
+        assert all(M.entries[i][i].is_zero() for i in range(5))

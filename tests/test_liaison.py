@@ -25,7 +25,7 @@ def principal(ring, f):
 
 
 def span_contains(columns, twists, p, vec):
-    gb = ModuleGB(p, twists, use_chain=True)
+    gb = ModuleGB(p, twists)
     for col in columns:
         if col:
             gb.add(dict(col))
@@ -39,7 +39,7 @@ class TestModuleIntersection:
         D = module_intersection(principal(ring3, z0), principal(ring3, z1))
         assert D.cols == 1
         assert D.col_twists == (2,)
-        got = Ideal(ring3, [D.entry(0, 0)])
+        got = Ideal(ring3, [D.entries[0][0]])
         assert got.equals(Ideal(ring3, [z0 * z1]))
 
     def test_principal_dimensions_match_oracle(self, ring2):
@@ -50,7 +50,7 @@ class TestModuleIntersection:
             if f.is_zero() or g.is_zero():
                 continue
             D = module_intersection(principal(ring2, f), principal(ring2, g))
-            gens = [D.entry(0, j) for j in range(D.cols)]
+            gens = [D.entries[0][j] for j in range(D.cols)]
             for d in range(6):
                 ours = degree_span(gens, ring2.nvars, ring2.p, d).rank
                 want = dim_intersection_piece([f], [g], ring2.nvars, ring2.p, d)
