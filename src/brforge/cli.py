@@ -37,7 +37,7 @@ from .construct import (
     section,
     verify_construction,
 )
-from .hilbert import HilbertReport, hilbert_report
+from .hilbert import HilbertReport
 from .ideals import ConstructionError, Ideal, InvariantError, top_dimensional_part
 from .io import read_ideal, read_matrix, write_ideal, write_matrix
 from .liaison import generalized_br_run, gorenstein_link
@@ -166,7 +166,7 @@ def _cmd_br(args) -> int:
     print(f"// seed = {args.seed}")
     rng = Rng(args.seed)
     run = kernel_section_run(ring, spec, rng, matrix=matrix)
-    rep = hilbert_report(run.gorenstein)
+    rep = run.gorenstein.hilbert()
     twists = run.twist_data()
     chern = chern_coefficients(twists)
     _print_hilbert_blocks(rep)
@@ -238,7 +238,7 @@ def _cmd_top(args) -> int:
     codim = args.codim if args.codim is not None else I.codimension()
     note(f"isolating the top-dimensional part in codimension {codim}")
     top = top_dimensional_part(I, codim, rng)
-    rep = hilbert_report(top)
+    rep = top.hilbert()
     _print_hilbert_blocks(rep)
     summary = {
         "command": "top",
@@ -261,7 +261,7 @@ def _cmd_top(args) -> int:
 def _cmd_hilb(args) -> int:
     out = _out_dir(args)
     I = read_ideal(args.ideal)
-    rep = hilbert_report(I)
+    rep = I.hilbert()
     _print_hilbert_blocks(rep)
     summary = dict(rep.as_dict(), command="hilb")
     _emit(summary, out)
@@ -287,7 +287,7 @@ def _cmd_res(args) -> int:
     }
     if res.is_minimal():
         summary["regularity"] = regularity(res)
-        if I.affine_dimension() >= 0:  # the unit ideal has no certificate
+        if I.hilbert().affine_dimension >= 0:  # the unit ideal has no certificate
             cert = gorenstein_certificate(I, resolution=res)
             summary["gorenstein"] = cert.as_dict()
     _emit(summary, out)

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .chern import ChernReport, ExpectedShape, TwistSpec, chern_coefficients, expected_resolution
-from .hilbert import HilbertReport, hilbert_report
+from .hilbert import HilbertReport
 from .ideals import ConstructionError, Ideal, affine_dimension, top_dimensional_part
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .protocol import note, recording
@@ -411,10 +411,9 @@ def verify_construction(
     constructed ideal)."""
     chern = chern_coefficients(twists)
     shape = expected_resolution(twists)
-    rep = hilbert_report(I)
+    rep = I.hilbert()
     res = resolution if resolution is not None else free_resolution(I)
-    if not res.is_minimal():
-        res = res.minimize()
+    res = res.minimize()
     betti = res.betti()
     cert = gorenstein_certificate(I, resolution=res)
     return ConstructionReport(

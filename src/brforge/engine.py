@@ -93,7 +93,6 @@ from .ring import (
     key_component,
     key_degree,
     key_divides,
-    key_exponents,
     key_lcm,
 )
 
@@ -467,10 +466,10 @@ def _quotient_numerator(
     t^deg(e_j) times the numerator of R modulo its lead monomials, read off
     (lead - unit_j) >> shift."""
     shift = gb.shift
-    monomials: list[list[tuple[int, ...]]] = [[] for _ in frame]
+    monomials: list[list[int]] = [[] for _ in frame]
     for t in leads:
         j = key_component(t)
-        monomials[j].append(key_exponents((t - frame[j]) >> shift, nvars))
+        monomials[j].append((t - frame[j]) >> shift)
     out: list[int] = []
     for unit, twist, mons in zip(frame, gb.twists, monomials):
         twist += key_degree(unit, shift)

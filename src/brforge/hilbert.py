@@ -1,16 +1,25 @@
 """Hilbert series data for homogeneous ideals.
 
-The standard route: the numerator of the Hilbert series of R/I over the free
-resolution-free pivot recursion on the leading-term ideal, then repeated
-exact division by (1 - t) down to the codimension to reach the second
-series (the h-vector).  Everything here is integer list arithmetic.
+One route gives every numerical invariant of R/I: the numerator Q of the
+Hilbert series H(t) = Q(t) / (1 - t)^nvars, computed by Bigatti's pivot
+recursion ("Computation of Hilbert-Poincare series", J. Pure Appl. Algebra
+119, 1997) on the lead monomials of a Groebner basis.  Monomials enter as
+packed keys (ring.monomial_key): divisibility is one subtraction and mask,
+and dividing by a monomial subtracts its key.  The dimension of R/I is the
+order of the pole at t = 1, so the codimension counts the exact divisions
+of Q by (1 - t) while Q(1) = 0; what remains is the second numerator (the
+h-vector), whose value at 1 is the degree.  Everything else is integer list
+arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import factorial, prod
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+
+from .ring import MAX_N, divisor_masks, key_degree, key_lcm, monomial_key
 
 if TYPE_CHECKING:  # ideals imports engine, which imports this module
     from .ideals import Ideal
@@ -22,12 +31,17 @@ __all__ = [
     "hilbert_function_values",
 ]
 
+# the key of z_i, the same in every ring
+_VARIABLES = tuple(monomial_key((0,) * i + (1,)) for i in range(MAX_N + 1))
+_GUARD, _MASK = divisor_masks()
 
-def _minimalize(gens: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    uniq = sorted(set(gens), key=lambda e: (sum(e), e))
-    kept: list[tuple[int, ...]] = []
-    for m in uniq:
-        if not any(all(a <= b for a, b in zip(k, m)) for k in kept):
+
+def _minimalize(keys: Iterable[int]) -> tuple[int, ...]:
+    """Minimal generators of the monomial ideal the keys span, ascending.
+    Keys ascend by degree, so a divisor comes before its multiples."""
+    kept: list[int] = []
+    for m in sorted(set(keys)):
+        if not any((k - m + _GUARD) & _MASK == _GUARD for k in kept):
             kept.append(m)
     return tuple(kept)
 
@@ -67,72 +81,53 @@ def _pure_power_product(degrees: Sequence[int]) -> list[int]:
     return out
 
 
-def hilbert_numerator(lead_exps: Sequence[tuple[int, ...]], nvars: int) -> list[int]:
+def hilbert_numerator(leads: Iterable[int], nvars: int) -> list[int]:
     """First Hilbert series numerator Q with H_{R/I}(t) = Q(t)/(1-t)^nvars,
-    computed from the monomial (leading term) ideal by pivot recursion."""
-    memo: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for I the monomial ideal of these keys, by pivot recursion: with x the
+    first variable that most non-pure generators hold,
+    Q(I) = Q(I + (x)) + t Q(I : x)."""
+    variables = _VARIABLES[:nvars]
+    memo: dict[tuple[int, ...], list[int]] = {}
 
-    def rec(gens: tuple[tuple[int, ...], ...]) -> list[int]:
+    def rec(gens: tuple[int, ...]) -> list[int]:
+        # gens are minimal and ascending, so the unit monomial, key 0, is first
         if not gens:
             return [1]
-        if any(sum(m) == 0 for m in gens):
+        if gens[0] == 0:
             return []
         got = memo.get(gens)
         if got is not None:
             return got
-        pure = [m for m in gens if sum(1 for e in m if e) == 1]
-        rest = [m for m in gens if sum(1 for e in m if e) > 1]
-        if not rest:
-            out = _pure_power_product([sum(m) for m in pure])
-        elif len(rest) == 1:
-            base = _pure_power_product([sum(m) for m in pure])
-            m = rest[0]
-            # (pure powers : m) is again pure powers, clipped
-            colon: list[int] = []
-            unit = False
-            for q in pure:
-                v = next(i for i, e in enumerate(q) if e)
-                reduced = sum(q) - m[v]
-                if reduced <= 0:
-                    unit = True
-                    break
-                colon.append(reduced)
-            if unit:
-                quot: list[int] = []
+        pure: list[int] = []
+        rest: list[int] = []
+        counts = [0] * nvars
+        for m in gens:
+            support = [i for i, x in enumerate(variables) if (x - m + _GUARD) & _MASK == _GUARD]
+            if len(support) == 1:
+                pure.append(m)
             else:
-                quot = _pure_power_product(colon)
-            out = _poly_sub(base, [0] * sum(m) + quot)
-        else:
-            counts = [0] * nvars
-            for m in rest:
-                for i, e in enumerate(m):
-                    if e:
-                        counts[i] += 1
-            pivot = counts.index(max(counts))
-            with_pivot = _minimalize(
-                [tuple(e - 1 if i == pivot else e for i, e in enumerate(m)) if m[pivot] else m for m in gens]
-            )
-            one = tuple(1 if i == pivot else 0 for i in range(nvars))
-            without = _minimalize([m for m in gens if m[pivot] == 0] + [one])
+                rest.append(m)
+                for i in support:
+                    counts[i] += 1
+        if len(rest) > 1:
+            x = variables[counts.index(max(counts))]
+            divisible = [(x - m + _GUARD) & _MASK == _GUARD for m in gens]
+            with_pivot = _minimalize(m - x if d else m for m, d in zip(gens, divisible))
+            without = _minimalize([m for m, d in zip(gens, divisible) if not d] + [x])
             out = _poly_add_shift(rec(without), rec(with_pivot), 1)
+        else:
+            out = _pure_power_product([key_degree(q) for q in pure])
+            if rest:
+                # Q(P + (m)) = Q(P) - t^deg(m) Q(P : m) for the pure powers
+                # P, and P : m is again pure powers, or the unit ideal
+                m = rest[0]
+                colon = [key_lcm(q, m) - m for q in pure]
+                quot = _pure_power_product([key_degree(c) for c in colon]) if all(colon) else []
+                out = _poly_sub(out, [0] * key_degree(m) + quot)
         memo[gens] = out
         return out
 
-    return rec(_minimalize(lead_exps))
-
-
-def _divide_one_minus_t(q: list[int]) -> list[int]:
-    """Exact division by (1 - t); raises if not exact."""
-    out: list[int] = []
-    run = 0
-    for c in q:
-        run += c
-        out.append(run)
-    if out and out[-1] != 0:
-        raise ArithmeticError("series not divisible by (1 - t)")
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return rec(_minimalize(leads))
 
 
 @dataclass(frozen=True)
@@ -178,13 +173,16 @@ def _binomial(x: int, k: int) -> int:
 
 
 def hilbert_report(I: Ideal) -> HilbertReport:
+    """The report of R/I from the lead keys of I's reduced Groebner basis.
+    The unit ideal, Q = 0, has affine dimension -1."""
     nvars = I.ring.nvars
-    q = hilbert_numerator(I.leading_exponents(), nvars) if not I.is_zero() else [1]
-    dim = I.affine_dimension()
+    q = hilbert_numerator([g.terms[0][0] for g in I.groebner()], nvars)
+    h = q
+    dim = nvars if q else -1
+    while h and sum(h) == 0:  # Q(1) = 0: divide exactly by (1 - t)
+        h = list(accumulate(h))[:-1]
+        dim -= 1
     codim = nvars - dim
-    h = list(q)
-    for _ in range(codim):
-        h = _divide_one_minus_t(h)
     degree = sum(h)
     genus: Optional[int] = None
     if dim >= 2:

@@ -1,6 +1,10 @@
 """Homogeneous ideals: Groebner bases, membership, quotient, intersection,
 saturation, and extraction of the top-dimensional part.
 
+Every numerical invariant of an ideal, its dimension included, comes from
+one Hilbert report (hilbert.hilbert_report), computed from the lead keys of
+its reduced basis once per ideal and cached on it (Ideal.hilbert).
+
 Quotients and intersections run as value-tracked syzygy passes on seeded
 modules instead of elimination: the seeds are Groebner bases whose internal
 pairs provably emit nothing, so only cross pairs are reduced.
@@ -19,6 +23,7 @@ from .engine import (
     tracked_intersection,
     vec_degree,
 )
+from .hilbert import HilbertReport, hilbert_report
 from .poly import Polynomial, PolyRing
 from .protocol import note, recording
 from .ring import Rng
@@ -52,7 +57,7 @@ def vec_to_poly(ring: PolyRing, vec: Vec) -> Polynomial:
 class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped."""
 
-    __slots__ = ("ring", "gens", "_gb", "_gb_engine", "_counts", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_gb_engine", "_counts", "_report")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         kept = []
@@ -69,7 +74,7 @@ class Ideal:
         self._gb: Optional[tuple[Polynomial, ...]] = None
         self._gb_engine: Optional[ModuleGB] = None
         self._counts: Optional[Counter] = None
-        self._dim: Optional[int] = None
+        self._report: Optional[HilbertReport] = None
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -108,16 +113,14 @@ class Ideal:
             return False
         return self.groebner() == other.groebner()
 
-    def leading_exponents(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.ring.exponents(g.terms[0][0]) for g in self.groebner())
-
-    def affine_dimension(self) -> int:
-        if self._dim is None:
-            self._dim = affine_dimension(self)
-        return self._dim
+    def hilbert(self) -> HilbertReport:
+        """The Hilbert report of R/I, computed once."""
+        if self._report is None:
+            self._report = hilbert_report(self)
+        return self._report
 
     def codimension(self) -> int:
-        return self.ring.nvars - self.affine_dimension()
+        return self.hilbert().codimension
 
     def minimal_generators(self) -> tuple[Polynomial, ...]:
         """The canonical minimal generators: the members of the reduced
@@ -284,31 +287,10 @@ def saturation(I: Ideal) -> Ideal:
 
 
 def affine_dimension(I: Ideal) -> int:
-    """Krull dimension of R/I (the affine cone; projective dim is one less).
-
-    Computed as the largest variable subset meeting no leading-term support,
-    scanned over all subsets; -1 for the unit ideal.
-    """
-    nvars = I.ring.nvars
-    if I.is_zero():
-        return nvars
-    supports = set()
-    for exps in I.leading_exponents():
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                mask |= 1 << i
-        supports.add(mask)
-    sup = tuple(supports)
-    best = -1
-    for s in range(1 << nvars):
-        pop = bin(s).count("1")
-        if pop <= best:
-            continue
-        # s is independent when no leading support is contained in it
-        if all(m & ~s for m in sup):
-            best = pop
-    return best
+    """Krull dimension of R/I (the affine cone; projective dim is one less),
+    read off the ideal's Hilbert series: nvars minus the order of its pole
+    at t = 1; -1 for the unit ideal."""
+    return I.hilbert().affine_dimension
 
 
 def top_dimensional_part(I: Ideal, r: int, rng: Rng) -> Ideal:
@@ -321,11 +303,8 @@ def top_dimensional_part(I: Ideal, r: int, rng: Rng) -> Ideal:
     ring = I.ring
     if I.is_zero():
         raise ValueError("top part of the zero ideal")
-    nvars = ring.nvars
-    if I.affine_dimension() != nvars - r:
-        raise ConstructionError(
-            f"expected codimension {r}, found {nvars - I.affine_dimension()}"
-        )
+    if I.codimension() != r:
+        raise ConstructionError(f"expected codimension {r}, found {I.codimension()}")
     dmax = max(g.degree() for g in I.gens)
     for bump in range(3):
         degree = dmax + bump
@@ -339,7 +318,7 @@ def top_dimensional_part(I: Ideal, r: int, rng: Rng) -> Ideal:
             if any(f.is_zero() for f in combos):
                 continue
             J = Ideal(ring, combos)
-            if J.affine_dimension() != nvars - r:
+            if J.codimension() != r:
                 continue
             note(f"top part: cut with {r} forms of degree {degree} (attempt {attempt + 1})")
             with recording(None):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .chern import ExpectedShape, GenBRSpec, expected_resolution_aci
 from .engine import ModuleGB, minimal_generating_subset, tracked_intersection, vec_degree
-from .hilbert import HilbertReport, hilbert_report
+from .hilbert import HilbertReport
 from .ideals import (
     ConstructionError,
     Ideal,
@@ -110,7 +110,7 @@ def common_section(phi: GradedMatrix, IV: Ideal, d: int, rng: Rng) -> SectionRes
         if not IV.contains(e):
             raise InvariantError("section entry escaped the subscheme ideal")
     r = phi.cols - phi.rows
-    return replace(sec, regular=sec.ideal.affine_dimension() == ring.nvars - r)
+    return replace(sec, regular=sec.ideal.codimension() == r)
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,13 @@ def gorenstein_link(phi: GradedMatrix, IV: Ideal, d: int, rng: Rng) -> LinkRecor
     return LinkRecord(
         section=sec,
         section_saturated=sat,
-        section_report=hilbert_report(sat),
+        section_report=sat.hilbert(),
         gorenstein=X,
-        gorenstein_report=hilbert_report(X),
+        gorenstein_report=X.hilbert(),
         betti=res.betti(),
         certificate=cert,
         residual=residual,
-        residual_report=hilbert_report(residual),
+        residual_report=residual.hilbert(),
     )
 
 
@@ -215,7 +215,7 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
         (0,),
         tuple(g.degree() for g in linked.gens),
     )
-    B = syzygy_matrix(phi)
+    B = res_v.matrices[0]
     spec = GenBRSpec(
         e1=tuple(e1),
         e2=tuple(e2),
@@ -227,7 +227,7 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
     sec: Optional[SectionResult] = None
     for _ in range(5):
         cand = combine_columns(B, d, rng)
-        if cand.ideal.affine_dimension() == ring.nvars - 3:
+        if cand.ideal.codimension() == 3:
             sec = replace(cand, regular=True)
             break
         note("section not regular, redrawing")
@@ -261,7 +261,7 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
         generator_row=phi,
         section=sec,
         section_top=top,
-        report=hilbert_report(top),
+        report=top.hilbert(),
         betti=betti,
         spec=spec,
         shape=shape,

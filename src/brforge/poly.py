@@ -53,9 +53,6 @@ class PolyRing:
     def __repr__(self) -> str:
         return f"PolyRing(p={self.p}, n={self.n})"
 
-    def variable(self, i: int) -> "Polynomial":
-        return self._vars[i]
-
     def variables(self) -> tuple["Polynomial", ...]:
         return self._vars
 
@@ -231,11 +228,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading_coefficient(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial.  The order is graded,
         so the leading term has the largest degree."""
@@ -286,15 +278,6 @@ class Polynomial:
                 k = k1 + k2
                 acc[k] = acc.get(k, 0) + c1 * c2
         return self.ring.from_terms(acc)
-
-    def scale(self, c: int) -> "Polynomial":
-        c = self.ring.field.normalize(c)
-        if c == 0:
-            return self.ring.zero
-        if c == 1:
-            return self
-        p = self.ring.p
-        return Polynomial(self.ring, tuple((k, cc * c % p) for k, cc in self.terms))
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:

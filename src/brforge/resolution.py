@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .engine import Vec, minimal_generating_subset, stage_passes, tracked_syzygies, vec_degree
-from .hilbert import hilbert_report
 from .ideals import Ideal, InvariantError, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .protocol import note, recording
@@ -328,13 +327,12 @@ def gorenstein_certificate(
     the ideal rather than the quotient is resolved), last module of rank one,
     and a symmetric h-vector.  The unit ideal, whose quotient is zero, has
     none (ValueError)."""
-    report = hilbert_report(I)
+    report = I.hilbert()
     if report.affine_dimension < 0:
         raise ValueError("the unit ideal has no Gorenstein certificate")
     codim = report.codimension
     res = resolution if resolution is not None else free_resolution(I)
-    if not res.is_minimal():
-        res = res.minimize()
+    res = res.minimize()
     length = res.length
     last_rank = len(res.twists[-1])
     h = report.second_series

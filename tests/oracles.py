@@ -454,12 +454,12 @@ def cancel_units(res: Resolution) -> tuple[Resolution, int]:
         k, i, j = pos
         cancelled += 1
         M = mats[k]
-        inv = ring.field.inv(M[i][j].leading_coefficient())
+        inv = ring.field.inv(M[i][j].terms[0][1])
         # clear row i using column ops; mirror as row ops on the next matrix
         for l in range(len(twists[k + 1])):
             if l == j or M[i][l].is_zero():
                 continue
-            q = M[i][l].scale(inv)
+            q = ring.parse(str(inv)) * M[i][l]
             for m in range(len(twists[k])):
                 M[m][l] = M[m][l] - q * M[m][j]
             if k + 1 < len(mats):
@@ -470,7 +470,7 @@ def cancel_units(res: Resolution) -> tuple[Resolution, int]:
         for m in range(len(twists[k])):
             if m == i or M[m][j].is_zero():
                 continue
-            q = M[m][j].scale(inv)
+            q = ring.parse(str(inv)) * M[m][j]
             for l in range(len(twists[k + 1])):
                 M[m][l] = M[m][l] - q * M[i][l]
             if k > 0:
@@ -581,6 +581,21 @@ def hilbert_numerator_dense(gens: Sequence, nvars: int, p: int, upto: int) -> li
     for _ in range(nvars):
         series = [series[0]] + [b - a for a, b in zip(series, series[1:])]
     return series
+
+
+def scan_dimension(I: Ideal) -> int:
+    """Krull dimension of R/I by a scan of all 2^nvars variable subsets: the
+    size of the largest subset that holds the support of no lead monomial of
+    I's Groebner basis; nvars for the zero ideal, -1 for the unit ideal."""
+    nvars = I.ring.nvars
+    supports = set()
+    for g in I.groebner():
+        supports.add(sum(1 << i for i, e in enumerate(key_exponents(g.terms[0][0], nvars)) if e))
+    best = -1
+    for s in range(1 << nvars):
+        if all(m & ~s for m in supports):
+            best = max(best, bin(s).count("1"))
+    return best
 
 
 class _EagerElt:

@@ -1,10 +1,12 @@
 """Command line driver: exit codes, JSON summaries, reproducibility."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import brforge.hilbert
 from brforge.cli import main
 from brforge.ideals import Ideal, InvariantError
 from brforge.io import read_ideal, read_matrix, write_ideal, write_matrix
@@ -467,11 +469,11 @@ class TestLink:
     def setup_files(self, tmp_path, ring3):
         phi = GradedMatrix(
             ring3,
-            [[ring3.variable(0), ring3.variable(1), ring3.variable(2)]],
+            [[ring3.variables()[0], ring3.variables()[1], ring3.variables()[2]]],
             (0,),
             (1, 1, 1),
         )
-        IV = Ideal(ring3, [ring3.variable(0), ring3.variable(1)])
+        IV = Ideal(ring3, [ring3.variables()[0], ring3.variables()[1]])
         write_matrix(tmp_path / "phi.mat", phi)
         write_ideal(tmp_path / "line.id", IV)
         return str(tmp_path / "phi.mat"), str(tmp_path / "line.id")
@@ -501,7 +503,7 @@ class TestLink:
         )
         assert code == 0
         X = read_ideal(out_dir / "gorenstein.id")
-        assert X.equals(Ideal(ring3, [ring3.variable(0), ring3.variable(1)]))
+        assert X.equals(Ideal(ring3, [ring3.variables()[0], ring3.variables()[1]]))
         assert (out_dir / "residual.id").exists()
         assert (out_dir / "section.id").exists()
 
@@ -519,6 +521,47 @@ class TestLink:
         )
         assert code == 3
         assert err == "forge link: the linking scheme does not contain V\n"
+
+
+class TestOneReportPerIdeal:
+    """A command computes each ideal's Hilbert report once, however many of
+    its readers (the summary, the verification, the certificate) ask."""
+
+    @staticmethod
+    def reported(monkeypatch, capsys, argv):
+        original = brforge.hilbert.hilbert_report
+        ideals = []
+
+        def counting(I):
+            ideals.append(I)
+            return original(I)
+
+        for name, module in list(sys.modules.items()):
+            if name == "brforge" or name.startswith("brforge."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, _, _ = run(argv, capsys)
+        assert code == 0
+        return ideals
+
+    def test_br_verify(self, monkeypatch, capsys):
+        argv = [
+            "br", "--t", "1", "--r", "3", "--entry-deg", "1",
+            "--sec-deg", "2", "--n", "3", "--seed", "11", "--verify",
+        ]
+        ideals = self.reported(monkeypatch, capsys, argv)
+        assert ideals
+        assert len({id(I) for I in ideals}) == len(ideals)
+
+    def test_link(self, monkeypatch, capsys):
+        argv = [
+            "link", "--phi", fixture("linear_row_p5.mat"), "--ideal", fixture("veronese.id"),
+            "--deg", "0", "--seed", "5",
+        ]
+        ideals = self.reported(monkeypatch, capsys, argv)
+        assert len(ideals) >= 3  # the section, X and the residual
+        assert len({id(I) for I in ideals}) == len(ideals)
 
 
 class TestGenBr:

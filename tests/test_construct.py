@@ -131,7 +131,7 @@ class TestMinors:
 
 class TestPfaffian:
     def test_two_by_two(self, ring3):
-        z0 = ring3.variable(0)
+        z0 = ring3.variables()[0]
         M = GradedMatrix(ring3, [[ring3.zero, z0], [-z0, ring3.zero]], (0, 0), (1, 1))
         assert pfaffian(M) == z0
         assert pfaffian(M, ()) == ring3.one
@@ -155,7 +155,7 @@ class TestPfaffian:
         assert I.equals(want)
 
     def test_shape_errors(self, ring3):
-        z0 = ring3.variable(0)
+        z0 = ring3.variables()[0]
         with pytest.raises(ValueError):
             pfaffian(GradedMatrix(ring3, [[z0, z0]], (0,), (1, 1)))
         with pytest.raises(ValueError):
@@ -201,7 +201,7 @@ class TestSection:
             combine_columns(B, min(B.col_twists) - 1, Rng(1))
 
     def test_no_kernel(self, ring3):
-        M = GradedMatrix(ring3, [[ring3.variable(0)]], (0,), (1,))
+        M = GradedMatrix(ring3, [[ring3.variables()[0]]], (0,), (1,))
         with pytest.raises(ConstructionError):
             section(M, 0, Rng(1))
 
@@ -248,7 +248,7 @@ class TestKernelSectionRun:
 
     def test_degenerate_matrix_rejected(self, ring3):
         # a rank-deficient matrix misses the expected codimension
-        z0 = ring3.variable(0)
+        z0 = ring3.variables()[0]
         M = GradedMatrix(ring3, [[z0, z0, z0, z0]], (0,), (1, 1, 1, 1))
         with pytest.raises(ConstructionError):
             kernel_section_run(ring3, ConstructionSpec(1, 3, 1, 2, 3), Rng(1), matrix=M)

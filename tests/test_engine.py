@@ -102,7 +102,7 @@ class TestTrackedSyzygies:
                 assert apply_combination(s, cols, p, ring2.nvars) == {}
 
     def test_zero_column_gets_unit_syzygy(self, ring3):
-        cols = [poly_to_vec(ring3.variable(0)), {}]
+        cols = [poly_to_vec(ring3.variables()[0]), {}]
         syz = tracked_syzygies(cols, 32003, (0,), ring3.nvars)
         assert {term(1, (0, 0, 0, 0)): 1} in syz
 

@@ -4,7 +4,8 @@ import pytest
 
 from brforge.hilbert import hilbert_function_values, hilbert_numerator, hilbert_report
 from brforge.ideals import Ideal
-from brforge.ring import Rng
+from brforge.poly import PolyRing
+from brforge.ring import Rng, monomial_key
 
 import oracles
 
@@ -34,9 +35,38 @@ class TestNumeratorAgainstOracle:
                 == oracles.hilbert_function(list(I.gens), ring2.nvars, 32003, upto)
             )
 
+    def test_keys_of_messy_monomial_sets(self):
+        # pure powers, repeated generators and multiples of others, as keys
+        rng = Rng(33)
+        for trial in range(40):
+            nvars = 1 + rng.below(4)
+            ring = PolyRing(7, nvars - 1)
+            gens = []
+            for _ in range(1 + rng.below(5)):
+                d = 1 + rng.below(3)
+                if rng.bit():
+                    exps = [0] * nvars
+                    exps[rng.below(nvars)] = d
+                    gens.append(tuple(exps))
+                else:
+                    pool = oracles.exponents_of_degree(nvars, d)
+                    gens.append(pool[rng.below(len(pool))])
+            gens.append(gens[rng.below(len(gens))])
+            base, j = gens[rng.below(len(gens))], rng.below(nvars)
+            gens.append(tuple(e + (i == j) for i, e in enumerate(base)))
+            keys = [monomial_key(e) for e in gens]
+            top = sum(max(e[i] for e in gens) for i in range(nvars))
+            dense = oracles.hilbert_numerator_dense(
+                [ring.from_dict({e: 1}) for e in gens], nvars, 7, top
+            )
+            while dense and dense[-1] == 0:
+                dense.pop()
+            assert hilbert_numerator(keys, nvars) == dense, (trial, gens)
+            assert hilbert_numerator(reversed(keys), nvars) == dense
+
     def test_full_ring_and_unit_ideal(self, ring3):
         assert hilbert_numerator((), ring3.nvars) == [1]
-        assert hilbert_numerator(((0, 0, 0, 0),), ring3.nvars) == []
+        assert hilbert_numerator((0,), ring3.nvars) == []
 
 
 class TestKnownSchemes:

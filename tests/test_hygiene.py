@@ -16,6 +16,9 @@ one module keeps private, another does not reach into.
 
 No module holds an assert statement: `python -O` strips them, so a broken
 invariant raises InvariantError instead.
+
+Monomials stay packed keys: only poly, which prints polynomials and hands
+out exponent dicts, imports ring.key_exponents to decode them.
 """
 
 import ast
@@ -200,3 +203,27 @@ def test_scan_flags_private_imports():
         "from typing import _Final\n"
     )
     assert private_imports(source) == ["_stage_pass (line 1)", "_keys (line 2)", "_helpers (line 3)"]
+
+
+def exponent_decoders(source: str) -> list[str]:
+    return [
+        f"key_exponents (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "key_exponents"
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "poly.py"], ids=lambda p: p.name)
+def test_only_poly_decodes_exponents(path):
+    assert exponent_decoders(path.read_text()) == []
+
+
+def test_scan_flags_exponent_decoding():
+    source = (
+        "from .ring import key_degree, key_exponents\n"
+        "from brforge.ring import key_exponents as decode\n"
+        "from .ring import key_lcm\n"
+    )
+    assert exponent_decoders(source) == ["key_exponents (line 1)", "key_exponents (line 2)"]

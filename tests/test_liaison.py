@@ -35,7 +35,7 @@ def span_contains(columns, twists, p, vec):
 
 class TestModuleIntersection:
     def test_principal_ideals(self, ring3):
-        z0, z1 = ring3.variable(0), ring3.variable(1)
+        z0, z1 = ring3.variables()[0], ring3.variables()[1]
         D = module_intersection(principal(ring3, z0), principal(ring3, z1))
         assert D.cols == 1
         assert D.col_twists == (2,)
@@ -59,7 +59,7 @@ class TestModuleIntersection:
     def test_rank_two_mixed(self, ring3):
         from brforge.ideals import poly_to_vec
 
-        z0, z1 = ring3.variable(0), ring3.variable(1)
+        z0, z1 = ring3.variables()[0], ring3.variables()[1]
         twists = (0, 0)
 
         bcols = [poly_to_vec(z0, 0), poly_to_vec(z1, 1)]
@@ -74,14 +74,14 @@ class TestModuleIntersection:
             assert span_contains(ccols, twists, ring3.p, col)
 
     def test_frame_mismatch(self, ring3):
-        z0 = ring3.variable(0)
+        z0 = ring3.variables()[0]
         A = GradedMatrix(ring3, [[z0]], (0,), (1,))
         B = GradedMatrix(ring3, [[z0]], (1,), (2,))
         with pytest.raises(ValueError):
             module_intersection(A, B)
 
     def test_empty_side(self, ring3):
-        z0 = ring3.variable(0)
+        z0 = ring3.variables()[0]
         A = principal(ring3, z0)
         Z = GradedMatrix(ring3, [[ring3.zero]], (0,), (1,))
         D = module_intersection(A, Z)
@@ -91,7 +91,7 @@ class TestModuleIntersection:
 class TestCommonSection:
     def test_entries_vanish_on_subscheme(self, ring3):
         phi = read_matrix(fixture("koszul_p3.mat"))
-        IV = Ideal(ring3, [ring3.variable(0), ring3.variable(1), ring3.variable(2)])
+        IV = Ideal(ring3, [ring3.variables()[0], ring3.variables()[1], ring3.variables()[2]])
         sec = common_section(phi, IV, 1, Rng(3))
         for e in sec.vector.entries:
             assert IV.contains(e)
@@ -120,14 +120,14 @@ class TestCommonSection:
         ]
 
     def test_kernelless_matrix(self, ring3):
-        phi = GradedMatrix(ring3, [[ring3.variable(0)]], (0,), (1,))
+        phi = GradedMatrix(ring3, [[ring3.variables()[0]]], (0,), (1,))
         with pytest.raises(ConstructionError):
-            common_section(phi, Ideal(ring3, [ring3.variable(1)]), 0, Rng(1))
+            common_section(phi, Ideal(ring3, [ring3.variables()[1]]), 0, Rng(1))
 
 
 class TestGorensteinLink:
     def test_line_self_link(self, ring3):
-        z0, z1, z2 = (ring3.variable(i) for i in range(3))
+        z0, z1, z2 = (ring3.variables()[i] for i in range(3))
         phi = GradedMatrix(ring3, [[z0, z1, z2]], (0,), (1, 1, 1))
         IV = Ideal(ring3, [z0, z1])
         rec = gorenstein_link(phi, IV, 0, Rng(5))
@@ -143,7 +143,7 @@ class TestGorensteinLink:
 
     def test_containment_of_fixed_subscheme(self, ring3):
         # every link must keep V inside the constructed scheme
-        z0, z1, z2 = (ring3.variable(i) for i in range(3))
+        z0, z1, z2 = (ring3.variables()[i] for i in range(3))
         phi = GradedMatrix(ring3, [[z0, z1, z2]], (0,), (1, 1, 1))
         IV = Ideal(ring3, [z0, z1])
         rec = gorenstein_link(phi, IV, 0, Rng(8))

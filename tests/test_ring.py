@@ -170,7 +170,7 @@ class TestPackedKeys:
         with pytest.raises(ValueError):
             ring3.from_dict({(MAX_DEGREE, 1, 0, 0): 1})
         with pytest.raises(ValueError):
-            ring3.variable(0) ** MAX_DEGREE * ring3.variable(1)
+            ring3.variables()[0] ** MAX_DEGREE * ring3.variables()[1]
         # the bound itself is fine, and wraps nothing
         f = ring3.parse(f"z3^{MAX_DEGREE}")
         assert f.as_dict() == {(0, 0, 0, MAX_DEGREE): 1}
