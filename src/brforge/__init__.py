@@ -13,6 +13,7 @@ from .ideals import (
     affine_dimension,
     ideal_intersection,
     ideal_quotient,
+    regular_sequence,
     saturation,
     top_dimensional_part,
 )
@@ -91,6 +92,7 @@ __all__ = [
     "affine_dimension",
     "ideal_intersection",
     "ideal_quotient",
+    "regular_sequence",
     "saturation",
     "top_dimensional_part",
     "HilbertReport",

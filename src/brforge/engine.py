@@ -74,6 +74,61 @@ dim M_d from those of the basis before, each component shifted by its
 degree; the candidates generate S, so the room is zero again after the
 last candidate of each degree.  A negative room, or room left after that,
 is a broken invariant (InvariantError).
+
+The same count decides whether r forms f_1..f_r of positive degrees d_i
+are a regular sequence (regular_sequence_basis), with the Hilbert function
+of a complete intersection, the coefficients of
+prod (1 - t^{d_i}) / (1 - t)^nvars, in place of dim M_d (Traverso's
+original setting, "Hilbert functions and the Buchberger algorithm", J.
+Symbolic Comput. 22, 1996).  Let J be the ideal of the forms.  Every basis
+element lies in J, so the count of standard terms of degree d is at least
+dim (R/J)_d.  For r <= nvars, r generic forms of these degrees are a
+regular sequence, and dim J_d is the rank of a linear map whose entries
+are polynomial in the forms' coefficients, which can only drop when they
+specialize; by that semicontinuity dim (R/J)_d is at least the complete
+intersection's value in every degree, so the room is never negative
+(negative room is a broken invariant).  The two are equal in every degree
+exactly when the forms are a regular sequence, that is, when R/J has the
+complete intersection's Hilbert series.  Once the room in degree d is zero
+the lead terms span the initial ideal of J in degree d, so every pair left
+in d would reduce to zero and is dropped unreduced.  Room left after the
+last pair of degree d proves that the forms are not a regular sequence:
+the forms of degree at most d have joined the basis by then and every pair
+through degree d has been popped, so the basis is complete through d, the
+count equals dim (R/J)_d, and that exceeds the target.  Only degrees with
+a form or a pair are counted, so the finished basis's series is compared
+with the target once at the end.
+
+Pair criteria.  A pair (i, j) of one component may be skipped when its
+S-vector has a representation below L = lcm(i, j): a combination of
+monomial multiples of basis elements whose leads all lie below L.  When
+every pair of degree at most d has one, the basis is a Groebner basis
+through degree d (Buchberger's criterion in its lcm-representation form).
+A reduced pair has one, since every reducer's multiple leads with a term
+below L and a nonzero remainder joins the basis; coprime leads have one
+(the product criterion); and a pair inside one seeded block has one, the
+block being a Groebner basis of its span.  The chain criterion (Buchberger's
+second criterion, as Gebauer and Moeller state it, "On an installation of
+Buchberger's algorithm", J. Symbolic Comput. 6, 1988) uses the identity
+S(i, j) = (L / L_ik) S(i, k) - (L / L_jk) S(j, k), for an element k whose
+lead divides L, with L_ik, L_jk the sub-pairs' lcms: a representation of
+each sub-pair below its own lcm gives one of S(i, j) below L.  Pairs pop
+in ascending (degree, i, j) order, and by induction on that order every
+popped pair, and every pair inside a seeded block, has a representation
+below its lcm.  So (i, j) is dropped when, for some such k, each sub-pair
+either has an lcm that is a proper divisor of L, so that it lies in lower
+degree and has been popped (or lies inside a block), or, in an untracked
+basis, has the lcm L itself and has been popped already or lies inside one
+seeded block (the treated-pair rule).  A sub-pair of lcm L has the degree
+of (i, j), so the record of popped pairs holds one degree at a time.  The
+treated-pair rule stays off in tracked bases.  It would be sound there
+too, but it changes which S-pairs reduce to zero, and so which relations a
+pass emits and in what order: the raw relations of a generator pass are
+the candidates its pruning pass keeps in order, and a kernel section is
+drawn from the kept generators, so seeded output would change.  In an
+untracked basis a zero reduction produces nothing, and the reduced basis,
+normal forms through completed degrees and kept indices depend on the
+ideal alone.
 """
 
 from __future__ import annotations
@@ -82,7 +137,7 @@ from heapq import heapify, heappop, heappush
 from itertools import zip_longest
 from typing import Callable, Iterator, Optional, Sequence
 
-from .hilbert import hilbert_function_values, hilbert_numerator
+from .hilbert import complete_intersection_numerator, hilbert_function_values, hilbert_numerator
 from .protocol import note
 from .ring import (
     COMP_BITS,
@@ -103,6 +158,7 @@ __all__ = [
     "ModuleGB",
     "incremental_basis",
     "minimal_generating_subset",
+    "regular_sequence_basis",
     "stage_passes",
     "tracked_intersection",
     "tracked_syzygies",
@@ -127,13 +183,14 @@ class _Elt:
     """A basis element: its lead term, whose coefficient is 1, and its tail,
     the terms below the lead."""
 
-    __slots__ = ("lead", "tail", "track", "comp")
+    __slots__ = ("lead", "tail", "track", "comp", "index")
 
-    def __init__(self, lead: int, tail: Vec, track: Optional[Vec]):
+    def __init__(self, lead: int, tail: Vec, track: Optional[Vec], index: int):
         self.lead = lead
         self.tail = tail
         self.track = track
         self.comp = key_component(lead)
+        self.index = index
 
 
 class ModuleGB:
@@ -161,12 +218,14 @@ class ModuleGB:
     Groebner basis among themselves whose internal pair reductions emit only
     zero values; pairs inside one block are skipped.
 
-    The chain criterion always runs; the product criterion (use_product)
-    is only sound for rank-one modules, and is allowed in term over
-    position only.  Both may run in tracked mode: a chain-dropped pair's
-    syzygy is a monomial combination of the two sub-pairs' syzygies, so the
-    emitted set still generates; a product-dropped pair loses its Koszul
-    syzygy, whose value the caller must compensate (for quotient and
+    The chain criterion always runs (see the module docstring): in a
+    tracked basis with strictly smaller sub-lcms only, in an untracked one
+    with the treated-pair rule as well.  The product criterion
+    (use_product) is only sound for rank-one modules, and is allowed in
+    term over position only.  Both may run in tracked mode: a chain-dropped
+    pair's syzygy is a monomial combination of the two sub-pairs' syzygies,
+    so the emitted set still generates; a product-dropped pair loses its
+    Koszul syzygy, whose value the caller must compensate (for quotient and
     intersection passes it lies in an ideal the caller already knows).
     """
 
@@ -197,6 +256,9 @@ class ModuleGB:
         self.block: list[int] = []
         self.emitted: list[Vec] = []
         self.use_product = use_product
+        # untracked: the pairs popped in the degree last popped (see _covered)
+        self._treated: Optional[set[tuple[int, int]]] = None if track else set()
+        self._treated_degree = -1
 
     # ---- construction -------------------------------------------------
 
@@ -230,8 +292,8 @@ class ModuleGB:
             tail = {t: c * inv % p for t, c in vec.items() if t != lead}
             if track:
                 track = {t: c * inv % p for t, c in track.items()}
-        elt = _Elt(lead, tail, track)
         m = len(self.elts)
+        elt = _Elt(lead, tail, track, m)
         shift = self.shift
         self.elts.append(elt)
         self.block.append(block)
@@ -317,6 +379,13 @@ class ModuleGB:
         gj = self.elts[j]
         shift = self.shift
         lcm = key_lcm(gi.lead, gj.lead, shift)
+        treated = self._treated
+        if treated is not None:
+            if d != self._treated_degree:
+                # a sub-pair of the same lcm has the same degree
+                treated.clear()
+                self._treated_degree = d
+            treated.add((i, j))
         # rank one: coprime leads are those whose lcm is their product
         if self.use_product and lcm == gi.lead + gj.lead:
             return
@@ -325,13 +394,12 @@ class ModuleGB:
         for gk in self.by_comp.get(gi.comp, ()):
             if gk is gi or gk is gj:
                 continue
-            if (gk.lead - lcm + guard) & mask == guard:
-                lik = key_lcm(gi.lead, gk.lead, shift)
-                ljk = key_lcm(gj.lead, gk.lead, shift)
-                # both sub-pairs lie in strictly smaller degree, hence
-                # were already processed: safe to drop this pair
-                if lik != lcm and ljk != lcm:
-                    return
+            if (
+                (gk.lead - lcm + guard) & mask == guard
+                and self._covered(gi, gk, lcm)
+                and self._covered(gj, gk, lcm)
+            ):
+                return
         # the S-vector x^sj * gj - x^si * gi: the monic leads cancel
         p = self.p
         si = lcm - gi.lead
@@ -352,6 +420,19 @@ class ModuleGB:
             return
         # rem comes out in descending order, lead first
         self._append(next(iter(rem)), rem, remval, -1)
+
+    def _covered(self, g: _Elt, gk: _Elt, lcm: int) -> bool:
+        """Whether the sub-pair (g, gk) of a pair with this lcm, which gk's
+        lead divides, has a representation below its own lcm (see the
+        module docstring): its lcm is a proper divisor of lcm, or, in an
+        untracked basis, it has been popped or lies inside one seeded
+        block."""
+        if key_lcm(g.lead, gk.lead, self.shift) != lcm:
+            return True
+        if self._treated is None:
+            return False
+        a, b = sorted((g.index, gk.index))
+        return (a, b) in self._treated or self.block[a] == self.block[b] >= 0
 
     def complete_to(self, degree: int) -> None:
         """Process every queued pair of S-degree <= degree."""
@@ -495,6 +576,21 @@ def _standard_count(gb: ModuleGB, frame: Sequence[int], nvars: int, degree: int)
     return hilbert_function_values(numerator, nvars, degree)[degree]
 
 
+def _room(
+    gb: ModuleGB, frame: Sequence[int], nvars: int, degree: int, floor: Sequence[int], name: str
+) -> int:
+    """The room in a degree (see the module docstring): the standard count
+    there minus the value there of the floor, a Hilbert numerator over
+    (1-t)^nvars named in the error a negative room raises."""
+    room = (
+        _standard_count(gb, frame, nvars, degree)
+        - hilbert_function_values(floor, nvars, degree)[degree]
+    )
+    if room < 0:
+        raise InvariantError(f"standard terms fell below the {name} in degree {degree}")
+    return room
+
+
 def _stage_pass(
     p: int,
     nvars: int,
@@ -529,7 +625,6 @@ def _stage_pass(
     order = range(len(candidates))
     if image is not None:
         order = sorted(order, key=lambda i: (candidate_degrees[i], i))
-        targets = hilbert_function_values(image, nvars, max(candidate_degrees))
     kept: list[Vec] = []
     degrees: list[int] = []
     units: list[int] = []
@@ -547,9 +642,7 @@ def _stage_pass(
                     raise InvariantError(f"syzygy candidates do not span degree {degree}")
                 gb.complete_to(d)
                 degree = d
-                room = _standard_count(gb, frame, nvars, d) - targets[d]
-                if room < 0:
-                    raise InvariantError(f"standard terms fell below the image in degree {d}")
+                room = _room(gb, frame, nvars, d, image, "image")
             if not room or not gb.add_remainder(dict(vec), {unit: 1}):
                 continue
             room -= 1
@@ -559,6 +652,49 @@ def _stage_pass(
     if room:
         raise InvariantError(f"syzygy candidates do not span degree {degree}")
     return kept, degrees, units, gb
+
+
+def regular_sequence_basis(vecs: Sequence[Vec], p: int, nvars: int) -> Optional[ModuleGB]:
+    """The completed basis of the ideal J that r nonzero forms generate
+    (vectors of component 0), driven by the Hilbert function of a complete
+    intersection of their degrees (see the module docstring), or None when
+    the forms are not a regular sequence.
+
+    Degree by degree, the forms of degree d join the basis unreduced and
+    the room in d is counted against prod (1 - t^{d_i}); the pairs of
+    degree d are processed while there is room, a new element taking one
+    unit, and dropped unreduced once there is none.  Room left after them,
+    or a finished basis whose series is not the target (degrees without a
+    form or a pair are not counted), proves that J is not a complete
+    intersection.  Constants and more than
+    nvars forms are refused at once: a regular sequence of forms of
+    positive degree has at most nvars members.  Rank one runs the product
+    criterion.
+    """
+    degrees = [vec_degree(v, (0,)) for v in vecs]
+    if len(vecs) > nvars or 0 in degrees:
+        return None
+    floor = complete_intersection_numerator(degrees)
+    gb = ModuleGB(p, (0,), use_product=True)
+    pairs = gb.pairs
+    waiting = sorted(range(len(vecs)), key=lambda i: (degrees[i], i), reverse=True)
+    while waiting or pairs:
+        d = pairs[0][0] if pairs else degrees[waiting[-1]]
+        if waiting:
+            d = min(d, degrees[waiting[-1]])
+        while waiting and degrees[waiting[-1]] == d:
+            gb.add(dict(vecs[waiting.pop()]))
+        room = _room(gb, (0,), nvars, d, floor, "complete intersection")
+        while pairs and pairs[0][0] == d:
+            if not room:
+                heappop(pairs)
+                continue
+            size = len(gb.elts)
+            gb._step()
+            room -= len(gb.elts) - size
+        if room:
+            return None
+    return gb if hilbert_numerator([g.lead for g in gb.elts], nvars) == floor else None
 
 
 def _unframe(vec: Vec, shift: int, units: Sequence[int], comps: Sequence[int]) -> Vec:

@@ -26,9 +26,11 @@ if TYPE_CHECKING:  # ideals imports engine, which imports this module
 
 __all__ = [
     "HilbertReport",
+    "complete_intersection_numerator",
     "hilbert_numerator",
     "hilbert_report",
     "hilbert_function_values",
+    "numerator_report",
 ]
 
 # the key of z_i, the same in every ring
@@ -68,7 +70,9 @@ def _poly_add_shift(a: list[int], b: list[int], shift: int) -> list[int]:
     return out
 
 
-def _pure_power_product(degrees: Sequence[int]) -> list[int]:
+def complete_intersection_numerator(degrees: Sequence[int]) -> list[int]:
+    """prod (1 - t^d) over the degrees: the first numerator of R modulo a
+    regular sequence of forms of these degrees, pure powers among them."""
     out = [1]
     for d in degrees:
         nxt = [0] * (len(out) + d)
@@ -116,13 +120,15 @@ def hilbert_numerator(leads: Iterable[int], nvars: int) -> list[int]:
             without = _minimalize([m for m, d in zip(gens, divisible) if not d] + [x])
             out = _poly_add_shift(rec(without), rec(with_pivot), 1)
         else:
-            out = _pure_power_product([key_degree(q) for q in pure])
+            out = complete_intersection_numerator([key_degree(q) for q in pure])
             if rest:
                 # Q(P + (m)) = Q(P) - t^deg(m) Q(P : m) for the pure powers
                 # P, and P : m is again pure powers, or the unit ideal
                 m = rest[0]
                 colon = [key_lcm(q, m) - m for q in pure]
-                quot = _pure_power_product([key_degree(c) for c in colon]) if all(colon) else []
+                quot = []
+                if all(colon):
+                    quot = complete_intersection_numerator([key_degree(c) for c in colon])
                 out = _poly_sub(out, [0] * key_degree(m) + quot)
         memo[gens] = out
         return out
@@ -173,11 +179,17 @@ def _binomial(x: int, k: int) -> int:
 
 
 def hilbert_report(I: Ideal) -> HilbertReport:
-    """The report of R/I from the lead keys of I's reduced Groebner basis.
-    The unit ideal, Q = 0, has affine dimension -1."""
+    """The report of R/I from the lead keys of I's reduced Groebner basis."""
     nvars = I.ring.nvars
     q = hilbert_numerator([g.terms[0][0] for g in I.groebner()], nvars)
-    h = q
+    return numerator_report(I.ring.p, nvars, q)
+
+
+def numerator_report(p: int, nvars: int, q: Sequence[int]) -> HilbertReport:
+    """The report of R/I, R of characteristic p in nvars variables, from the
+    first numerator q of its Hilbert series.  The unit ideal, q = 0, has
+    affine dimension -1."""
+    h = list(q)
     dim = nvars if q else -1
     while h and sum(h) == 0:  # Q(1) = 0: divide exactly by (1 - t)
         h = list(accumulate(h))[:-1]
@@ -191,7 +203,7 @@ def hilbert_report(I: Ideal) -> HilbertReport:
         hp0 = sum(hi * _binomial(dim - 1 - i, dim - 1) for i, hi in enumerate(h))
         genus = (-1) ** (dim - 1) * (hp0 - 1)
     return HilbertReport(
-        characteristic=I.ring.p,
+        characteristic=p,
         nvars=nvars,
         first_series=tuple(q),
         second_series=tuple(h),

@@ -2,8 +2,10 @@
 saturation, and extraction of the top-dimensional part.
 
 Every numerical invariant of an ideal, its dimension included, comes from
-one Hilbert report (hilbert.hilbert_report), computed from the lead keys of
-its reduced basis once per ideal and cached on it (Ideal.hilbert).
+one Hilbert report, computed once per ideal and cached on it
+(Ideal.hilbert): from the lead keys of its reduced basis
+(hilbert.hilbert_report), or, for the ideal of a regular sequence, from the
+degrees of its forms (regular_sequence).
 
 Quotients and intersections run as value-tracked syzygy passes on seeded
 modules instead of elimination: the seeds are Groebner bases whose internal
@@ -20,10 +22,16 @@ from .engine import (
     ModuleGB,
     Vec,
     incremental_basis,
+    regular_sequence_basis,
     tracked_intersection,
     vec_degree,
 )
-from .hilbert import HilbertReport, hilbert_report
+from .hilbert import (
+    HilbertReport,
+    complete_intersection_numerator,
+    hilbert_report,
+    numerator_report,
+)
 from .poly import Polynomial, PolyRing
 from .protocol import note, recording
 from .ring import Rng
@@ -36,6 +44,7 @@ __all__ = [
     "ideal_intersection",
     "saturation",
     "affine_dimension",
+    "regular_sequence",
     "top_dimensional_part",
 ]
 
@@ -293,12 +302,34 @@ def affine_dimension(I: Ideal) -> int:
     return I.hilbert().affine_dimension
 
 
+def regular_sequence(ring: PolyRing, forms: Sequence[Polynomial]) -> Optional[Ideal]:
+    """The ideal of the forms when they are a regular sequence, else None.
+
+    Its basis is built against the Hilbert function of a complete
+    intersection of the forms' degrees (engine.regular_sequence_basis), so
+    the pairs of a degree are dropped unreduced once the target is met.  The
+    returned ideal carries that basis, its minimal generator counts (every
+    member of a regular sequence is a minimal generator) and its Hilbert
+    report, whose numerator is prod (1 - t^{d_i})."""
+    if any(f.is_zero() for f in forms):
+        return None
+    gb = regular_sequence_basis([poly_to_vec(f) for f in forms], ring.p, ring.nvars)
+    if gb is None:
+        return None
+    degrees = [f.degree() for f in forms]
+    out = Ideal(ring, forms)
+    out._gb_engine, out._counts = gb, Counter(degrees)
+    out._report = numerator_report(ring.p, ring.nvars, complete_intersection_numerator(degrees))
+    return out
+
+
 def top_dimensional_part(I: Ideal, r: int, rng: Rng) -> Ideal:
     """The intersection of the codimension-r primary components.
 
-    Picks r random forms inside I, checks they cut codimension r, and
-    returns the double quotient (J : (J : I)).  Retries the draw up to five
-    times per degree, then raises the form degree, twice at most.
+    Picks r random forms inside I, keeps them when they are a regular
+    sequence (so they cut codimension r), and returns the double quotient
+    (J : (J : I)).  Retries the draw up to five times per degree, then
+    raises the form degree, twice at most.
     """
     ring = I.ring
     if I.is_zero():
@@ -315,10 +346,8 @@ def top_dimensional_part(I: Ideal, r: int, rng: Rng) -> Ideal:
                 for g in I.gens:
                     f = f + ring.sparse_form(degree - g.degree(), rng) * g
                 combos.append(f)
-            if any(f.is_zero() for f in combos):
-                continue
-            J = Ideal(ring, combos)
-            if J.codimension() != r:
+            J = regular_sequence(ring, combos)
+            if J is None:
                 continue
             note(f"top part: cut with {r} forms of degree {degree} (attempt {attempt + 1})")
             with recording(None):

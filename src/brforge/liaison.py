@@ -23,6 +23,7 @@ from .ideals import (
     InvariantError,
     ideal_quotient,
     poly_to_vec,
+    regular_sequence,
     saturation,
     top_dimensional_part,
 )
@@ -280,10 +281,8 @@ def _random_complete_intersection(IG: Ideal, degrees: Sequence[int], rng: Rng) -
                 if rel >= 0:
                     f = f + ring.sparse_form(rel, rng) * g
             forms.append(f)
-        if any(f.is_zero() for f in forms):
-            continue
-        ci = Ideal(ring, forms)
-        if ci.codimension() == len(degrees):
+        ci = regular_sequence(ring, forms)
+        if ci is not None:
             note(f"complete intersection of type {tuple(degrees)} on attempt {attempt + 1}")
             return ci
     raise ConstructionError(

@@ -613,9 +613,12 @@ class EagerModuleGB:
     keeps its whole vector, every term operation takes its result mod p and
     drops a zero, the reducer is found by a linear first-divisor scan, and
     reduced_basis reduces against the minimal elements alone, skipping the
-    one reduced.  Pair queue, criteria and tracking are those of ModuleGB,
-    so on the same calls both must give equal bases, remainders, values and
-    emitted relations.  `recreated` counts the terms that cancelled to zero
+    one reduced.  Pair queue and tracking are those of ModuleGB, and so are
+    the criteria of a tracked basis, so on the same tracked calls both must
+    give equal bases, remainders, values and emitted relations.  In an
+    untracked basis it keeps the strict chain criterion, without the
+    treated-pair rule, so there the two agree on what depends on the ideal
+    alone: reduced bases and normal forms through a completed degree.  `recreated` counts the terms that cancelled to zero
     inside one reduction and were created again later in it."""
 
     def __init__(self, p, twists, *, track=False, use_product=False, use_chain=False,

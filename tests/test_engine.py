@@ -5,9 +5,20 @@ original columns with plain dict arithmetic, so a bookkeeping error in the
 engine cannot hide behind itself.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
-from brforge.engine import ModuleGB, minimal_generating_subset, tracked_syzygies, vec_degree
+import brforge.ideals
+from brforge.construct import ConstructionSpec, kernel_section_run
+from brforge.engine import (
+    ModuleGB,
+    incremental_basis,
+    minimal_generating_subset,
+    tracked_syzygies,
+    vec_degree,
+)
 from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
 from brforge.poly import PolyRing
 from brforge.ring import COMP_BITS, Rng, frame_unit, monomial_key
@@ -294,3 +305,164 @@ def test_lazy_reducer_matches_the_eager_one(p):
                     recreated += _run_both(rng, p, rank, shift, value_shift, frame, unit, track)
     # some term cancelled to zero mid-reduction and came back later in it
     assert recreated > 0
+
+
+# The treated-pair rule of untracked bases against oracles.EagerModuleGB,
+# which keeps the strict chain criterion.  The two may append different
+# elements, but whatever depends on the ideal alone must agree: normal forms
+# through a completed degree (so add_remainder results), kept indices and
+# reduced bases.
+
+
+class _PairReductions:
+    """Counts the reductions of S-pairs, the ones _step makes."""
+
+    pair_reductions = 0
+
+    def _reduce(self, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_step":
+            self.pair_reductions += 1
+        return super()._reduce(*args, **kwargs)
+
+
+class _CountedLazy(_PairReductions, ModuleGB):
+    pass
+
+
+class _CountedEager(_PairReductions, oracles.EagerModuleGB):
+    pass
+
+
+def _seed_blocks(rng, p, twists, shift, frame):
+    """One or two reduced bases of random vectors, to be seeded as blocks."""
+    blocks = []
+    for _ in range(1 + rng.below(2)):
+        gb = ModuleGB(p, twists, shift=shift)
+        for _ in range(2 + rng.below(3)):
+            vec = _random_vector(rng, p, frame, 1 + rng.below(2))
+            if vec:
+                gb.add(vec)
+        gb.complete()
+        blocks.append(gb.reduced_basis())
+    return blocks
+
+
+def _untracked_run(rng, p, rank, shift, frame):
+    use_product = rank == 1 and shift == 0 and rng.below(2) == 1
+    twists = [0] * rank if shift else [(0, 1, 0)[j] for j in range(rank)]
+    kwargs = dict(use_product=use_product, shift=shift, value_shift=shift)
+    lazy = _CountedLazy(p, twists, **kwargs)
+    eager = _CountedEager(p, twists, use_chain=True, **kwargs)
+    for b, block in enumerate(_seed_blocks(rng, p, twists, shift, frame)):
+        for vec in block:
+            lazy.add(dict(vec), block=b)
+            eager.add(dict(vec), block=b)
+    vecs = [v for v in (_random_vector(rng, p, frame, 2 + rng.below(3)) for _ in range(8)) if v]
+    vecs.sort(key=lambda v: vec_degree(v, twists, shift))
+    for vec in vecs:
+        if rng.below(3) == 0:
+            lazy.add(dict(vec))
+            eager.add(dict(vec))
+            continue
+        d = vec_degree(vec, twists, shift)
+        lazy.complete_to(d)
+        eager.complete_to(d)
+        assert lazy.normal_form(vec) == eager.normal_form(vec)
+        assert lazy.add_remainder(dict(vec)) == eager.add_remainder(dict(vec))
+    lazy.complete()
+    eager.complete()
+    assert lazy.reduced_basis() == eager.reduced_basis()
+    for _ in range(3):
+        probe = _random_vector(rng, p, frame, 3)
+        assert lazy.normal_form(probe) == eager.normal_form(probe)
+    return lazy.pair_reductions, eager.pair_reductions
+
+
+def _eager_incremental(vecs, p, twists, seed):
+    """incremental_basis on oracles.EagerModuleGB: kept indices and the
+    completed reduced basis."""
+    inc = oracles.EagerModuleGB(p, twists, use_product=len(twists) == 1, use_chain=True)
+    for v in seed:
+        inc.add(dict(v), block=0)
+    degrees = {i: vec_degree(v, twists) for i, v in enumerate(vecs) if v}
+    kept = []
+    for i in sorted(degrees, key=lambda i: (degrees[i], i)):
+        inc.complete_to(degrees[i])
+        if inc.add_remainder(dict(vecs[i])):
+            kept.append(i)
+    inc.complete()
+    return kept, inc.reduced_basis()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_treated_pair_rule_matches_the_strict_chain_criterion(p):
+    rng = Rng(950 + p)
+    lazy_total = eager_total = 0
+    for rank in (1, 2, 3):
+        for shift, _, frame, _ in _frames(rng, rank):
+            for _ in range(4):
+                lazy, eager = _untracked_run(rng, p, rank, shift, frame)
+                lazy_total += lazy
+                eager_total += eager
+        twists = [(0, 1, 0)[j] for j in range(rank)]
+        top = [(tw, lambda e, j=j: term(j, e)) for j, tw in enumerate(twists)]
+        for _ in range(4):
+            seed = _seed_blocks(rng, p, twists, 0, top)[0]
+            vecs = [_random_vector(rng, p, top, 1 + rng.below(3)) for _ in range(7)]
+            kept, gb = incremental_basis(vecs, p, twists, seed=seed)
+            gb.complete()
+            assert (kept, gb.reduced_basis()) == _eager_incremental(vecs, p, twists, seed)
+    # the rule skipped reductions the strict criterion makes
+    assert lazy_total < eager_total
+
+
+class TestWorkCounts:
+    """Reductions of one P^6 flagship kernel section (test_03's spec, seed
+    1), counted by wrapping ModuleGB._reduce: an S-pair reduction is one
+    that _step makes, and the cut's are those made inside
+    regular_sequence_basis."""
+
+    def test_flagship_reductions(self, monkeypatch):
+        counts = Counter()
+        cutting = []
+        reduce = ModuleGB._reduce
+
+        def counted(self, vec, value):
+            out = reduce(self, vec, value)
+            kind = (
+                "cut" if cutting else "tracked" if self.track else "untracked",
+                "pair" if sys._getframe(1).f_code.co_name == "_step" else "other",
+                "zero" if not out[0] else "nonzero",
+            )
+            counts[kind] += 1
+            return out
+
+        cut = brforge.ideals.regular_sequence_basis
+
+        def marked(*args):
+            cutting.append(True)
+            try:
+                return cut(*args)
+            finally:
+                cutting.pop()
+
+        monkeypatch.setattr(ModuleGB, "_reduce", counted)
+        monkeypatch.setattr(brforge.ideals, "regular_sequence_basis", marked)
+        ring = PolyRing(32003, 6)
+        kernel_section_run(ring, ConstructionSpec(1, 5, 1, 2, 6, seed=1), Rng(1))
+        # the cut stops each degree once its Hilbert target is met
+        assert counts["cut", "pair", "nonzero"] > 0
+        assert counts["cut", "pair", "zero"] == 0
+        # untracked S-pair reductions, the cut's included: 271, 213 of them
+        # to zero, with the strict chain criterion and the codimension check
+        untracked = Counter()
+        for (kind, where, result), n in counts.items():
+            if kind != "tracked" and where == "pair":
+                untracked[result] += n
+        assert untracked["zero"] + untracked["nonzero"] <= 171
+        assert untracked["zero"] <= 109
+        # the tracked passes keep the strict criterion, and their counts
+        assert counts["tracked", "pair", "zero"] == 180
+        assert counts["tracked", "pair", "nonzero"] == 23
+        assert counts["tracked", "other", "zero"] == 14
+        assert counts["tracked", "other", "nonzero"] == 15

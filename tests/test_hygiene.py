@@ -19,6 +19,9 @@ invariant raises InvariantError instead.
 
 Monomials stay packed keys: only poly, which prints polynomials and hands
 out exponent dicts, imports ring.key_exponents to decode them.
+
+Only the command line module reads the environment (os.environ,
+os.getenv), so no engine switch can hide in an environment variable.
 """
 
 import ast
@@ -227,3 +230,36 @@ def test_scan_flags_exponent_decoding():
         "from .ring import key_lcm\n"
     )
     assert exponent_decoders(source) == ["key_exponents (line 1)", "key_exponents (line 2)"]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            faults.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            faults.extend((node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT)
+    return [f"{name} (line {line})" for line, name in sorted(faults)]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_only_cli_reads_the_environment(path):
+    assert environment_reads(path.read_text()) == []
+
+
+def test_scan_flags_environment_reads():
+    source = (
+        "import os\n"
+        "a = os.environ.get('A')\n"
+        "from os import getenv, path\n"
+        "b = os.getenv('B') or os.path.join('x')\n"
+        "c = 'environ'\n"
+    )
+    assert environment_reads(source) == [
+        "environ (line 2)",
+        "getenv (line 3)",
+        "getenv (line 4)",
+    ]

@@ -13,9 +13,11 @@ from brforge.ideals import (
     affine_dimension,
     ideal_intersection,
     ideal_quotient,
+    regular_sequence,
     saturation,
     top_dimensional_part,
 )
+from brforge.hilbert import hilbert_report
 from brforge.poly import PolyRing
 from brforge.ring import Rng
 
@@ -373,6 +375,98 @@ class TestSaturation:
                 for _ in range(6):
                     g = g * v
                 assert oracles.in_ideal(g, list(I.gens), ring3.nvars, P)
+
+
+class TestSmallFieldOracles:
+    """Intersections and saturations over p = 3, 5, 7, where random forms
+    degenerate often, against dense linear algebra.  Their results are
+    pruned on untracked bases, which run the treated-pair rule."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_intersection(self, p):
+        ring = PolyRing(p, 2)
+        rng = Rng(310 + p)
+        for _ in range(8):
+            I = random_ideal(ring, rng, 1 + rng.below(2), 2)
+            J = random_ideal(ring, rng, 1 + rng.below(2), 2)
+            M = ideal_intersection(I, J)
+            for f in M.gens:
+                assert oracles.in_ideal(f, list(I.gens), ring.nvars, p)
+                assert oracles.in_ideal(f, list(J.gens), ring.nvars, p)
+            for d in range(7):
+                assert oracles.degree_span(list(M.gens), ring.nvars, p, d).rank == (
+                    oracles.dim_intersection_piece(list(I.gens), list(J.gens), ring.nvars, p, d)
+                ), (p, d)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_saturation(self, p):
+        # I inside S inside the saturation of I, and S saturated (S : m = S
+        # in every degree checked), so S is the saturation there
+        ring = PolyRing(p, 2)
+        rng = Rng(320 + p)
+        m = Ideal(ring, list(ring.variables()))
+        for _ in range(5):
+            B = random_ideal(ring, rng, 1 + rng.below(3), 2)
+            I = oracles.ideal_product(B, oracles.ideal_product(m, m) if rng.below(2) else m)
+            S = saturation(I)
+            for g in I.gens:
+                assert oracles.in_ideal(g, list(S.gens), ring.nvars, p)
+            for f in S.gens:
+                for v in ring.variables():
+                    g = f
+                    for _ in range(4):
+                        g = g * v
+                    assert oracles.in_ideal(g, list(I.gens), ring.nvars, p)
+            for d in range(6):
+                assert oracles.dim_quotient_piece(
+                    list(S.gens), list(ring.variables()), ring.nvars, p, d
+                ) == oracles.degree_span(list(S.gens), ring.nvars, p, d).rank, (p, d)
+
+
+class TestRegularSequence:
+    """regular_sequence accepts exactly the forms that cut their own number
+    as codimension, by the subset scan of oracles.scan_dimension."""
+
+    @staticmethod
+    def _check(ring, forms):
+        J = regular_sequence(ring, forms)
+        I = Ideal(ring, forms)
+        regular = ring.nvars - oracles.scan_dimension(I) == len(forms)
+        assert (J is not None) == regular, [str(f) for f in forms]
+        if J is not None:
+            assert J.groebner() == I.groebner()
+            assert J.hilbert() == hilbert_report(I)
+            assert J.minimal_generators() == I.minimal_generators()
+            assert J.contains(forms[-1] * forms[0])
+        return regular
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_against_the_subset_scan(self, p):
+        rng = Rng(330 + p)
+        seen = Counter()
+        for n in (1, 2, 3, 4):
+            ring = PolyRing(p, n)
+            z = ring.variables()
+            for _ in range(10):
+                r = 1 + rng.below(ring.nvars)
+                forms = [ring.sparse_form(1 + rng.below(3), rng) for _ in range(r)]
+                seen["random", self._check(ring, forms)] += 1
+            f, g = ring.random_form(2, rng), ring.random_form(1, rng)
+            lin = ring.random_form(1, rng)
+            degenerate = {
+                "repeated": [f, g, f],
+                "common linear factor": [lin * f, lin * g],
+                "dependent": [f, g * g, f + g * g * ring.parse("2")],
+                "zero divisor": [z[0] * z[1], z[0] * z[-1], z[1] * z[-1]],
+                "zero form": [f, ring.zero],
+                "constant": [ring.one],
+                "too many": [ring.random_form(1, rng) for _ in range(ring.nvars + 1)],
+            }
+            for name, forms in degenerate.items():
+                assert not self._check(ring, forms), name
+            seen["powers", self._check(ring, [v ** (1 + i) for i, v in enumerate(z)])] += 1
+        assert seen["random", True] and seen["random", False]
+        assert seen["powers", True] == 4
 
 
 class TestTopDimensionalPart:
