@@ -13,6 +13,7 @@ from .ideals import (
     affine_dimension,
     ideal_intersection,
     ideal_quotient,
+    linear_saturation,
     regular_sequence,
     saturation,
     top_dimensional_part,
@@ -92,6 +93,7 @@ __all__ = [
     "affine_dimension",
     "ideal_intersection",
     "ideal_quotient",
+    "linear_saturation",
     "regular_sequence",
     "saturation",
     "top_dimensional_part",

@@ -6,7 +6,9 @@ of its maximal minors, computes the kernel (first syzygies), combines the
 kernel columns into a random section of prescribed degree, verifies the
 section is regular (its vanishing locus has the expected dimension), and
 extracts the top-dimensional part, which is the arithmetically Gorenstein
-subscheme the twist data predicts.
+subscheme the twist data predicts: one saturation by a linear form of the
+degeneracy locus when that locus is linear (_top_part), else the double
+quotient of ideals.top_dimensional_part.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from typing import Optional, Sequence
 
 from .chern import ChernReport, ExpectedShape, TwistSpec, chern_coefficients, expected_resolution
 from .hilbert import HilbertReport
-from .ideals import ConstructionError, Ideal, affine_dimension, top_dimensional_part
+from .ideals import (
+    ConstructionError,
+    Ideal,
+    affine_dimension,
+    linear_saturation,
+    top_dimensional_part,
+)
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .protocol import note, recording
 from .resolution import (
@@ -305,6 +313,35 @@ class KernelSectionRun:
         return self.spec.twist_data(self.section_degree)
 
 
+def _top_part(M: GradedMatrix, spec: ConstructionSpec, I: Ideal, rng: Rng) -> Ideal:
+    """The top-dimensional part of the section ideal I, of codimension r.
+
+    When the degeneracy locus D has a linear ideal (t = 1, entry degree 1:
+    the maximal minors are the row's entries), it is I : h^infinity for h a
+    combination of the row's entries (ideals.linear_saturation).  Off D the
+    kernel sheaf is locally free of rank r, so there the section ideal is
+    generated by r local coordinates of the section and, of codimension r,
+    is a local complete intersection, hence unmixed.  Every associated
+    prime of I that is not a top one therefore contains I_D, and with it h,
+    so I : h^infinity is the intersection of the top components h does not
+    vanish on.  It is the top part exactly when it has codimension r and
+    the degree of I, which only the top components carry.  When h has no
+    z_n term or a check fails, and for every other matrix, the double
+    quotient of ideals.top_dimensional_part is taken, drawing from rng."""
+    if spec.t == 1 and spec.entry_degree == 1:
+        ring = M.ring
+        draws = Rng(0)  # a fixed stream: the seeded one is left to the fallback
+        h = ring.zero
+        for e in M.entries[0]:
+            h = h + ring.from_terms({0: draws.below(ring.p)}) * e
+        J = linear_saturation(I, h)
+        if J is not None and (J.codimension(), J.hilbert().degree) == (spec.r, I.hilbert().degree):
+            note("top part: saturated by a linear form of the degeneracy locus")
+            return J
+        note("top part: no saturation by a linear form of the degeneracy locus, cutting instead")
+    return top_dimensional_part(I, spec.r, rng)
+
+
 def kernel_section_run(
     ring: PolyRing,
     spec: ConstructionSpec,
@@ -343,7 +380,7 @@ def kernel_section_run(
             if dim == nvars - spec.r:
                 if escalation:
                     note(f"section degree escalated {escalation} time(s)")
-                top = top_dimensional_part(sec.ideal, spec.r, rng)
+                top = _top_part(M, spec, sec.ideal, rng)
                 sec = replace(sec, regular=True, top=top)
                 return KernelSectionRun(
                     spec=spec,

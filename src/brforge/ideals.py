@@ -43,6 +43,7 @@ __all__ = [
     "ideal_quotient",
     "ideal_intersection",
     "saturation",
+    "linear_saturation",
     "affine_dimension",
     "regular_sequence",
     "top_dimensional_part",
@@ -147,10 +148,18 @@ class Ideal:
         """
         gb = self.groebner()
         self._engine()  # its build counted the minimal generators
+        if self._counts is None:
+            # a seeded build (linear_saturation) counted nothing; the ideal
+            # is generated in degrees up to its generators' top, so no basis
+            # member above it is minimal
+            top = max((g.degree() for g in self.gens), default=-1)
+            gb = tuple(g for g in gb if g.degree() <= top)
         keep, _ = incremental_basis(
             [poly_to_vec(g) for g in gb], self.ring.p, (0,), counts=self._counts
         )
-        if len(keep) != sum(self._counts.values()):
+        if self._counts is None:
+            self._counts = Counter(gb[i].degree() for i in keep)
+        elif len(keep) != sum(self._counts.values()):
             raise InvariantError("minimal generator count differs between two presentations")
         return tuple(gb[i] for i in keep)
 
@@ -223,8 +232,12 @@ def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     note(f"quotient pass emitted {len(gb.emitted)} candidates")
     vals = [poly_to_vec(f) for f in I.gens] if m == 1 else []
     vals.extend(gb.emitted)
-    Q = _pruned(ring, vals)
-    out = Ideal(ring, Q.minimal_generators())
+    return _canonical(_pruned(ring, vals))
+
+
+def _canonical(Q: Ideal) -> Ideal:
+    """Q on its canonical minimal generators, carrying Q's basis."""
+    out = Ideal(Q.ring, Q.minimal_generators())
     out._gb, out._gb_engine, out._counts = Q._gb, Q._gb_engine, Q._counts
     return out
 
@@ -293,6 +306,44 @@ def saturation(I: Ideal) -> Ideal:
             note(f"saturation by {v} stabilized after {steps} quotients")
     note(f"saturation: {len(result.gens)} generators")
     return result
+
+
+def linear_saturation(I: Ideal, h: Polynomial) -> Optional[Ideal]:
+    """I : h^infinity for a linear form h, or None when h has no z_n term
+    (h = 0 included).
+
+    With c the z_n coefficient of h, the substitution z_n -> (z_n - (h -
+    c*z_n)) / c moves h to the last variable.  In degrevlex a form is
+    divisible by z_n^e exactly when its lead is, so in(K : z_n^inf) =
+    in(K) : z_n^inf (Bayer and Stillman, "A criterion for detecting
+    m-regularity", Invent. Math. 87, 1987), and the reduced basis of the
+    moved ideal K, each member divided by the largest power of z_n that
+    divides it, is a basis of K : z_n^inf.  Mapping back by z_n -> h gives
+    I : h^inf; the members no power of z_n divided map back into I.  So the
+    result's basis is grown by incremental_basis from I's reduced basis
+    over the divided members alone, and presented canonically."""
+    ring = I.ring
+    if h.is_homogeneous() not in ((True, 1), (True, None)):
+        raise ValueError(f"not a linear form: {h}")
+    zn = ring.variables()[-1].terms[0][0]
+    c = dict(h.terms).get(zn, 0)
+    if not c:
+        return None
+    if I.is_zero():
+        return I
+    inv = ring.field.inv(c)
+    moved = ring.from_terms({k: inv if k == zn else -a * inv for k, a in h.terms})
+    K = Ideal(ring, [g.substitute_last(moved) for g in I.gens])
+    new = []
+    for f in K.groebner():
+        g = f.divide_out_last()
+        if g.degree() < f.degree():
+            new.append(poly_to_vec(g.substitute_last(h)))
+    kept, gb = incremental_basis(new, ring.p, (0,), seed=[poly_to_vec(f) for f in I.groebner()])
+    gb.complete()
+    Q = Ideal(ring, I.gens + tuple(vec_to_poly(ring, new[i]) for i in kept))
+    Q._gb_engine = gb
+    return _canonical(Q)
 
 
 def affine_dimension(I: Ideal) -> int:

@@ -248,6 +248,31 @@ class Polynomial:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return {self.ring.exponents(k): c for k, c in self.terms}
 
+    def substitute_last(self, form: "Polynomial") -> "Polynomial":
+        """self with the last variable z_n replaced by form: the sum over e
+        of (the z_n^e part of self, divided by z_n^e) * form^e."""
+        self._check(form)
+        ring = self.ring
+        zn = ring.variables()[-1].terms[0][0]
+        parts: dict[int, dict[int, int]] = {}
+        for k, c in self.terms:
+            e = ring.exponents(k)[-1]
+            parts.setdefault(e, {})[k - e * zn] = c
+        return sum((ring.from_terms(part) * form**e for e, part in parts.items()), ring.zero)
+
+    def divide_out_last(self) -> "Polynomial":
+        """self divided by the largest power of z_n that divides it.  A key
+        is additive in the exponents, so dividing a term by z_n^e subtracts
+        e times z_n's key, which keeps the terms' order."""
+        if not self.terms:
+            return self
+        ring = self.ring
+        e = min(ring.exponents(k)[-1] for k, _ in self.terms)
+        if not e:
+            return self
+        shift = e * ring.variables()[-1].terms[0][0]
+        return Polynomial(ring, tuple((k - shift, c) for k, c in self.terms))
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         acc = dict(self.terms)

@@ -14,7 +14,10 @@ that line under pass sizes:
 - the codimension check of a construction (check_expected_codim) takes
   the maximal minors without minors_ideal's count line;
 - the two ideal quotients of top_dimensional_part run after its "top part:
-  cut with ..." line, without a "quotient pass emitted ..." line each;
+  cut with ..." line, without a "quotient pass emitted ..." line each (a
+  kernel section whose degeneracy locus is linear prints one "top part:
+  saturated by a linear form ..." line instead, or, when that route does
+  not apply, a "... cutting instead" line before the cut's);
 - saturation runs a quotient per variable and step and intersects the
   results, and reports only "saturation by ..." and "saturation: ...".
 The --protocol text of the commands is pinned byte for byte by the cases

@@ -193,6 +193,28 @@ def degree_span(gens: Sequence, nvars: int, p: int, d: int) -> DenseSpan:
     return span
 
 
+def substitute_last_dense(f, form, p: int) -> dict[tuple[int, ...], int]:
+    """f with its last variable replaced by form, expanded on exponent
+    tuples: each term c * m * z_n^e becomes c * m * form^e, with form^e
+    multiplied out term by term."""
+    fd, gd = _poly_dict(f), _poly_dict(form)
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in fd.items():
+        power = {(0,) * len(exps): 1}
+        for _ in range(exps[-1]):
+            step: dict[tuple[int, ...], int] = {}
+            for a, ca in power.items():
+                for b, cb in gd.items():
+                    e = _add_exps(a, b)
+                    step[e] = (step.get(e, 0) + ca * cb) % p
+            power = step
+        base = exps[:-1] + (0,)
+        for e, ce in power.items():
+            e = _add_exps(base, e)
+            out[e] = (out.get(e, 0) + c * ce) % p
+    return {e: c for e, c in out.items() if c}
+
+
 def hilbert_function(gens: Sequence, nvars: int, p: int, upto: int) -> list[int]:
     """Values of d -> dim (R/I)_d for d = 0..upto, by dense rank."""
     out = []

@@ -417,13 +417,15 @@ def test_treated_pair_rule_matches_the_strict_chain_criterion(p):
 
 
 class TestWorkCounts:
-    """Reductions of one P^6 flagship kernel section (test_03's spec, seed
-    1), counted by wrapping ModuleGB._reduce: an S-pair reduction is one
-    that _step makes, and the cut's are those made inside
-    regular_sequence_basis."""
+    """Reductions of one kernel section, counted by wrapping
+    ModuleGB._reduce: an S-pair reduction is one that _step makes, and the
+    cut's are those made inside regular_sequence_basis.  Calls of the cut
+    and of the quotient passes (ideals._seeded_quotient) are counted too."""
 
-    def test_flagship_reductions(self, monkeypatch):
+    @staticmethod
+    def _run(monkeypatch, ring, spec, rng):
         counts = Counter()
+        calls = Counter()
         cutting = []
         reduce = ModuleGB._reduce
 
@@ -438,31 +440,56 @@ class TestWorkCounts:
             return out
 
         cut = brforge.ideals.regular_sequence_basis
+        quotient = brforge.ideals._seeded_quotient
 
         def marked(*args):
+            calls["cut"] += 1
             cutting.append(True)
             try:
                 return cut(*args)
             finally:
                 cutting.pop()
 
+        def passed(*args):
+            calls["quotient"] += 1
+            return quotient(*args)
+
         monkeypatch.setattr(ModuleGB, "_reduce", counted)
         monkeypatch.setattr(brforge.ideals, "regular_sequence_basis", marked)
+        monkeypatch.setattr(brforge.ideals, "_seeded_quotient", passed)
+        kernel_section_run(ring, spec, rng)
+        return counts, calls
+
+    def test_flagship_reductions(self, monkeypatch):
+        # test_03's spec, seed 1: the top part is one saturation by a linear
+        # form, so neither the cut nor a quotient pass runs
         ring = PolyRing(32003, 6)
-        kernel_section_run(ring, ConstructionSpec(1, 5, 1, 2, 6, seed=1), Rng(1))
-        # the cut stops each degree once its Hilbert target is met
-        assert counts["cut", "pair", "nonzero"] > 0
-        assert counts["cut", "pair", "zero"] == 0
-        # untracked S-pair reductions, the cut's included: 271, 213 of them
-        # to zero, with the strict chain criterion and the codimension check
+        counts, calls = self._run(monkeypatch, ring, ConstructionSpec(1, 5, 1, 2, 6, seed=1), Rng(1))
+        assert calls["cut"] == 0
+        assert calls["quotient"] == 0
+        # untracked S-pair reductions, the moved ideal's basis included:
+        # 171, 109 of them to zero, with the cut and the double quotient
         untracked = Counter()
         for (kind, where, result), n in counts.items():
             if kind != "tracked" and where == "pair":
                 untracked[result] += n
-        assert untracked["zero"] + untracked["nonzero"] <= 171
-        assert untracked["zero"] <= 109
-        # the tracked passes keep the strict criterion, and their counts
-        assert counts["tracked", "pair", "zero"] == 180
-        assert counts["tracked", "pair", "nonzero"] == 23
+        assert untracked["zero"] + untracked["nonzero"] <= 136
+        assert untracked["zero"] <= 101
+        # only the kernel's tracked pass is left (180, 23, 14 and 15 with
+        # the two quotient passes)
+        assert counts["tracked", "pair", "zero"] == 50
+        assert counts["tracked", "pair", "nonzero"] == 5
         assert counts["tracked", "other", "zero"] == 14
         assert counts["tracked", "other", "nonzero"] == 15
+
+    def test_cut_reductions(self, monkeypatch):
+        # test_04's spec: quadratic entries, so the degeneracy locus is not
+        # linear and the top part is the double quotient over a cut
+        ring = PolyRing(23, 6)
+        spec = ConstructionSpec(1, 3, 2, 3, 6, characteristic=23, seed=2)
+        counts, calls = self._run(monkeypatch, ring, spec, Rng(2))
+        assert calls["cut"] == 1
+        assert calls["quotient"] == 2
+        # the cut stops each degree once its Hilbert target is met
+        assert counts["cut", "pair", "nonzero"] > 0
+        assert counts["cut", "pair", "zero"] == 0

@@ -7,18 +7,21 @@ import pytest
 from brforge.construct import ConstructionSpec, construction_matrix, kernel_section_run
 from brforge.engine import ModuleGB
 from brforge.ideals import (
+    ConstructionError,
     Ideal,
     InvariantError,
     _essential_targets,
     affine_dimension,
     ideal_intersection,
     ideal_quotient,
+    linear_saturation,
     regular_sequence,
     saturation,
     top_dimensional_part,
 )
 from brforge.hilbert import hilbert_report
 from brforge.poly import PolyRing
+from brforge.protocol import recording
 from brforge.ring import Rng
 
 import oracles
@@ -484,6 +487,89 @@ class TestTopDimensionalPart:
         top = top_dimensional_part(I, 2, rng)
         again = top_dimensional_part(top, 2, rng)
         assert again.equals(top)
+
+
+def _saturated(I, h):
+    """I : h^infinity by quotients by h until they stop growing."""
+    while True:
+        bigger = ideal_quotient(I, h)
+        if bigger.equals(I):
+            return I
+        I = bigger
+
+
+def _routes(ring, spec, seed):
+    """A kernel section's top part, the double quotient of its section
+    ideal with fresh draws, and whether the run fell back to a cut."""
+    lines = []
+    with recording(lines.append):
+        run = kernel_section_run(ring, spec, Rng(seed))
+    cut = top_dimensional_part(run.section.ideal, spec.r, Rng(seed))
+    return run.gorenstein, cut, any("cutting instead" in line for line in lines)
+
+
+class TestLinearSaturation:
+    """linear_saturation (I : h^infinity by one basis with h moved to the
+    last variable) against quotients by h, and the kernel sections' top
+    part it gives against the double quotient of top_dimensional_part."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, P])
+    def test_against_iterated_quotients(self, p):
+        ring = PolyRing(p, 3)
+        rng = Rng(500 + p)
+        zn = ring.variables()[-1]
+        for trial in range(6):
+            h = zn if trial == 0 else ring.random_form(1, rng)
+            if dict(h.terms).get(zn.terms[0][0], 0) == 0:
+                assert linear_saturation(Ideal(ring, [zn]), h) is None
+                continue
+            # components along h, embedded and not, beside a random ideal
+            B = random_ideal(ring, rng, 2, 2)
+            along = Ideal(ring, [h, ring.random_form(1, rng)])
+            I = oracles.ideal_product(B, oracles.ideal_product(along, along) if trial % 2 else along)
+            S = linear_saturation(I, h)
+            assert S.equals(_saturated(I, h)), (p, trial)
+            TestCanonicalPresentation._assert_canonical(S)
+
+    def test_edge_cases(self, ring3):
+        z = ring3.variables()
+        assert linear_saturation(Ideal(ring3, [z[0]]), z[0] + z[1]) is None
+        assert linear_saturation(Ideal(ring3, [z[0]]), ring3.zero) is None
+        assert linear_saturation(Ideal(ring3, []), z[3]).is_zero()
+        with pytest.raises(ValueError):
+            linear_saturation(Ideal(ring3, [z[0]]), z[3] * z[3])
+        I = Ideal(ring3, [z[0] * z[3], z[1] * z[3] ** 2])
+        assert linear_saturation(I, z[3]).equals(Ideal(ring3, [z[0], z[1]]))
+        assert linear_saturation(I, z[3] - z[2]).equals(I)
+
+    @pytest.mark.parametrize(
+        "n, r, section_degree, seeds",
+        [(3, 3, 2, range(1, 41)), (4, 3, 2, range(1, 11)), (4, 4, 2, range(1, 11)),
+         (5, 5, 2, range(1, 6)), (6, 5, 2, range(1, 6))],
+    )
+    def test_kernel_sections_match_the_double_quotient(self, n, r, section_degree, seeds):
+        ring = PolyRing(P, n)
+        for seed in seeds:
+            spec = ConstructionSpec(1, r, 1, section_degree, n)
+            top, cut, fell_back = _routes(ring, spec, seed)
+            assert not fell_back, seed
+            assert top.equals(cut) and top.gens == cut.gens, seed
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_small_fields_fall_back_and_match(self, p):
+        # a linear form with no z_n term, or one through a top component,
+        # is common here; the fallback then cuts, and the results agree
+        ring = PolyRing(p, 3)
+        routes = Counter()
+        for seed in range(1, 21):
+            spec = ConstructionSpec(1, 3, 1, 2, 3, characteristic=p)
+            try:
+                top, cut, fell_back = _routes(ring, spec, seed)
+            except ConstructionError:
+                continue  # no matrix or no regular section at this seed
+            assert top.equals(cut) and top.gens == cut.gens, seed
+            routes[fell_back] += 1
+        assert routes[True] >= 1 and routes[False] >= 1, routes
 
 
 class TestIdealBasics:

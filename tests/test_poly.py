@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from brforge.poly import PolyRing
 from brforge.ring import Rng
 
 import oracles
@@ -104,3 +105,46 @@ class TestDegreesAndShapes:
 
     def test_degree_of_zero(self, ring3):
         assert ring3.zero.degree() == -1
+
+
+class TestLastVariable:
+    """The two helpers behind ideals.linear_saturation: replacing z_n by a
+    form, and dividing out the largest power of z_n."""
+
+    @pytest.mark.parametrize("p", [3, 7, 32003])
+    def test_substitution_against_dense_expansion(self, p):
+        ring = PolyRing(p, 3)
+        rng = Rng(400 + p)
+        for _ in range(12):
+            f = ring.random_form(rng.below(4), rng)
+            # linear forms, and forms of other degrees: inhomogeneous results
+            form = ring.random_form(rng.below(3), rng)
+            assert f.substitute_last(form).as_dict() == oracles.substitute_last_dense(f, form, p)
+        zn = ring.variables()[-1]
+        f = ring.random_form(3, rng)
+        assert f.substitute_last(zn) == f
+        assert ring.zero.substitute_last(zn) == ring.zero
+
+    def test_division_on_keys(self, ring3):
+        zn = ring3.variables()[-1]
+        step = zn.terms[0][0]
+        rng = Rng(410)
+        for e in range(4):
+            for _ in range(5):
+                g = ring3.random_form(1 + rng.below(3), rng)
+                if g.is_zero():
+                    continue
+                f = g * zn**e
+                q = f.divide_out_last()
+                k = f.degree() - q.degree()
+                # some term of the quotient is free of z_n, and every key
+                # moved down by k times z_n's key
+                assert min(exps[-1] for exps in q.as_dict()) == 0
+                assert k >= e
+                assert q.terms == tuple((t - k * step, c) for t, c in f.terms)
+                assert q * zn**k == f
+        assert zn.divide_out_last() == ring3.one
+        assert (zn**3).divide_out_last() == ring3.one
+        assert ring3.zero.divide_out_last() == ring3.zero
+        free = ring3.parse("z0*z1 - z2^2")
+        assert free.divide_out_last() is free
