@@ -32,7 +32,6 @@ from .resolution import (
     BettiTable,
     GorensteinCertificate,
     GradedMatrix,
-    Resolution,
     free_resolution,
     gorenstein_certificate,
     regularity,
@@ -325,9 +324,9 @@ def _top_part(M: GradedMatrix, spec: ConstructionSpec, I: Ideal, rng: Rng) -> Id
     prime of I that is not a top one therefore contains I_D, and with it h,
     so I : h^infinity is the intersection of the top components h does not
     vanish on.  It is the top part exactly when it has codimension r and
-    the degree of I, which only the top components carry.  When h has no
-    z_n term or a check fails, and for every other matrix, the double
-    quotient of ideals.top_dimensional_part is taken, drawing from rng."""
+    the degree of I, which only the top components carry.  When a check
+    fails (h vanishes on a top component, or h = 0), and for every other
+    matrix, top_dimensional_part's double quotient runs, drawing from rng."""
     if spec.t == 1 and spec.entry_degree == 1:
         ring = M.ring
         draws = Rng(0)  # a fixed stream: the seeded one is left to the fallback
@@ -335,7 +334,7 @@ def _top_part(M: GradedMatrix, spec: ConstructionSpec, I: Ideal, rng: Rng) -> Id
         for e in M.entries[0]:
             h = h + ring.from_terms({0: draws.below(ring.p)}) * e
         J = linear_saturation(I, h)
-        if J is not None and (J.codimension(), J.hilbert().degree) == (spec.r, I.hilbert().degree):
+        if (J.codimension(), J.hilbert().degree) == (spec.r, I.hilbert().degree):
             note("top part: saturated by a linear form of the degeneracy locus")
             return J
         note("top part: no saturation by a linear form of the degeneracy locus, cutting instead")
@@ -437,20 +436,14 @@ class ConstructionReport:
         }
 
 
-def verify_construction(
-    I: Ideal,
-    twists: TwistSpec,
-    *,
-    resolution: Optional[Resolution] = None,
-) -> ConstructionReport:
+def verify_construction(I: Ideal, twists: TwistSpec) -> ConstructionReport:
     """Compare the constructed ideal's invariants against the predictions
     carried by the twist data alone (KernelSectionRun.twist_data for a
     constructed ideal)."""
     chern = chern_coefficients(twists)
     shape = expected_resolution(twists)
     rep = I.hilbert()
-    res = resolution if resolution is not None else free_resolution(I)
-    res = res.minimize()
+    res = free_resolution(I).minimize()
     betti = res.betti()
     cert = gorenstein_certificate(I, resolution=res)
     return ConstructionReport(

@@ -9,7 +9,8 @@ degrees of its forms (regular_sequence).
 
 Quotients and intersections run as value-tracked syzygy passes on seeded
 modules instead of elimination: the seeds are Groebner bases whose internal
-pairs provably emit nothing, so only cross pairs are reduced.
+pairs provably emit nothing, so only cross pairs are reduced.  Saturations,
+by a linear form or by a variable, take one basis with the form moved last.
 """
 
 from __future__ import annotations
@@ -242,19 +243,15 @@ def _canonical(Q: Ideal) -> Ideal:
     return out
 
 
-def ideal_quotient(I: Ideal, J: Ideal | Polynomial) -> Ideal:
+def ideal_quotient(I: Ideal, J: Ideal) -> Ideal:
     """The ideal (I : J) = {h : h*J inside I}."""
-    if isinstance(J, Polynomial):
-        targets: tuple[Polynomial, ...] = (J,) if not J.is_zero() else ()
-    else:
-        if J.ring != I.ring:
-            raise ValueError("mixed rings")
-        targets = J.gens
-    if not targets:
+    if J.ring != I.ring:
+        raise ValueError("mixed rings")
+    if J.is_zero():
         return Ideal(I.ring, [I.ring.one])
     if I.is_zero():
         return Ideal(I.ring, [])
-    return _seeded_quotient(I, targets)
+    return _seeded_quotient(I, J.gens)
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
@@ -280,27 +277,17 @@ def saturation(I: Ideal) -> Ideal:
     """Saturation with respect to the irrelevant maximal ideal.
 
     An element lands in the saturation exactly when every variable kills it
-    into I at some power, so the result is the intersection over variables of
-    the single-variable saturations.  Chaining the variable quotients instead
-    would saturate by their product, which also strips components supported
-    on coordinate hyperplanes.
+    into I at some power, so the result is the intersection over variables v
+    of I : v^infinity (_saturate).  Chaining them instead would saturate by
+    the product of the variables, which also strips components supported on
+    coordinate hyperplanes.
     """
     if I.is_zero():
         return I
-    ring = I.ring
     result = None
-    for v in ring.variables():
-        current = I
-        steps = 0
+    for v in I.ring.variables():
         with recording(None):
-            while True:
-                bigger = ideal_quotient(current, v)
-                if all(current.contains(q) for q in bigger.gens):
-                    break
-                current = bigger
-                steps += 1
-                if steps > 60:
-                    raise InvariantError("saturation failed to stabilize")
+            current, steps = _saturate(I, v)
             result = current if result is None else ideal_intersection(result, current)
         if steps:
             note(f"saturation by {v} stabilized after {steps} quotients")
@@ -308,42 +295,47 @@ def saturation(I: Ideal) -> Ideal:
     return result
 
 
-def linear_saturation(I: Ideal, h: Polynomial) -> Optional[Ideal]:
-    """I : h^infinity for a linear form h, or None when h has no z_n term
-    (h = 0 included).
+def linear_saturation(I: Ideal, h: Polynomial) -> Ideal:
+    """I : h^infinity for a linear form h; the unit ideal for h = 0."""
+    return _saturate(I, h)[0]
 
-    With c the z_n coefficient of h, the substitution z_n -> (z_n - (h -
-    c*z_n)) / c moves h to the last variable.  In degrevlex a form is
-    divisible by z_n^e exactly when its lead is, so in(K : z_n^inf) =
-    in(K) : z_n^inf (Bayer and Stillman, "A criterion for detecting
-    m-regularity", Invent. Math. 87, 1987), and the reduced basis of the
-    moved ideal K, each member divided by the largest power of z_n that
-    divides it, is a basis of K : z_n^inf.  Mapping back by z_n -> h gives
-    I : h^inf; the members no power of z_n divided map back into I.  So the
-    result's basis is grown by incremental_basis from I's reduced basis
-    over the divided members alone, and presented canonically."""
+
+def _saturate(I: Ideal, h: Polynomial) -> tuple[Ideal, int]:
+    """I : h^infinity, and the number k of quotients by h after which
+    I : h^k stops growing.
+
+    Exchanging h's last variable z_j with z_n and substituting z_n ->
+    (z_n - (h' - c*z_n)) / c, c the z_n coefficient of the exchanged h',
+    moves h to z_n.  In degrevlex a form is divisible by z_n^e exactly when
+    its lead is, so (Bayer and Stillman, "A criterion for detecting
+    m-regularity", Invent. Math. 87, 1987) the reduced basis of the moved
+    ideal K, each member g divided by z_n^min(e_g, s), is a basis of
+    K : z_n^s.  No lead of a reduced basis divides another, so k is the
+    largest e_g.  The divided members, moved back, join I's reduced basis
+    in incremental_basis (the others map back into I), and the result is
+    presented canonically."""
     ring = I.ring
     if h.is_homogeneous() not in ((True, 1), (True, None)):
         raise ValueError(f"not a linear form: {h}")
+    if h.is_zero():
+        return Ideal(ring, [ring.one]), 0
+    var, c = h.terms[-1]  # degrevlex puts h's last variable last
+    swapped = h.swap_last(var)
     zn = ring.variables()[-1].terms[0][0]
-    c = dict(h.terms).get(zn, 0)
-    if not c:
-        return None
-    if I.is_zero():
-        return I
     inv = ring.field.inv(c)
-    moved = ring.from_terms({k: inv if k == zn else -a * inv for k, a in h.terms})
-    K = Ideal(ring, [g.substitute_last(moved) for g in I.gens])
-    new = []
+    moved = ring.from_terms({k: inv if k == zn else -a * inv for k, a in swapped.terms})
+    K = Ideal(ring, [g.swap_last(var).substitute_last(moved) for g in I.gens])
+    new, k = [], 0
     for f in K.groebner():
         g = f.divide_out_last()
         if g.degree() < f.degree():
-            new.append(poly_to_vec(g.substitute_last(h)))
+            k = max(k, f.degree() - g.degree())
+            new.append(poly_to_vec(g.substitute_last(swapped).swap_last(var)))
     kept, gb = incremental_basis(new, ring.p, (0,), seed=[poly_to_vec(f) for f in I.groebner()])
     gb.complete()
     Q = Ideal(ring, I.gens + tuple(vec_to_poly(ring, new[i]) for i in kept))
     Q._gb_engine = gb
-    return _canonical(Q)
+    return _canonical(Q), k
 
 
 def affine_dimension(I: Ideal) -> int:

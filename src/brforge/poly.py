@@ -248,6 +248,19 @@ class Polynomial:
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return {self.ring.exponents(k): c for k, c in self.terms}
 
+    def swap_last(self, var: int) -> "Polynomial":
+        """self with z_n and the variable of key var exchanged.  A key is
+        additive in the exponents, so a term with exponent a of that
+        variable and b of z_n moves by (b - a) times var's key minus z_n's."""
+        ring = self.ring
+        j = ring.exponents(var).index(1)
+        step = var - ring.variables()[-1].terms[0][0]
+        terms = []
+        for k, c in self.terms:
+            e = ring.exponents(k)
+            terms.append((k + (e[-1] - e[j]) * step, c))
+        return Polynomial(ring, tuple(sorted(terms, reverse=True)))
+
     def substitute_last(self, form: "Polynomial") -> "Polynomial":
         """self with the last variable z_n replaced by form: the sum over e
         of (the z_n^e part of self, divided by z_n^e) * form^e."""

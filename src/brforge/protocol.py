@@ -18,7 +18,7 @@ that line under pass sizes:
   kernel section whose degeneracy locus is linear prints one "top part:
   saturated by a linear form ..." line instead, or, when that route does
   not apply, a "... cutting instead" line before the cut's);
-- saturation runs a quotient per variable and step and intersects the
+- saturation takes one saturation by each variable and intersects the
   results, and reports only "saturation by ..." and "saturation: ...".
 The --protocol text of the commands is pinned byte for byte by the cases
 in tests/golden.

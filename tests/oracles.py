@@ -14,7 +14,8 @@ from typing import Sequence
 
 from brforge.chern import ExpectedShape
 from brforge.engine import InvariantError, ModuleGB, minimal_generating_subset, vec_degree
-from brforge.ideals import Ideal, poly_to_vec, vec_to_poly
+from brforge.ideals import Ideal, ideal_intersection, ideal_quotient, poly_to_vec, vec_to_poly
+from brforge.protocol import note, recording
 from brforge.resolution import GradedMatrix, Resolution
 from brforge.ring import (
     divisor_masks,
@@ -559,6 +560,41 @@ def unpruned_quotient(I, targets: Sequence) -> Ideal:
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     """The ideal generated by every product of a generator of I and one of J."""
     return Ideal(I.ring, tuple(f * g for f in I.gens for g in J.gens))
+
+
+def saturated_by(I: Ideal, h) -> Ideal:
+    """I : h^infinity by quotients by the form h until they stop growing."""
+    while True:
+        bigger = ideal_quotient(I, Ideal(I.ring, [h]))
+        if bigger.equals(I):
+            return I
+        I = bigger
+
+
+def quotient_loop_saturation(I: Ideal) -> Ideal:
+    """saturation by quotients: for each variable v, quotients by v until
+    they stop growing (at most 60), the results intersected, with the same
+    protocol notes as ideals.saturation."""
+    if I.is_zero():
+        return I
+    result = None
+    for v in I.ring.variables():
+        current = I
+        steps = 0
+        with recording(None):
+            while True:
+                bigger = ideal_quotient(current, Ideal(I.ring, [v]))
+                if all(current.contains(q) for q in bigger.gens):
+                    break
+                current = bigger
+                steps += 1
+                if steps > 60:
+                    raise InvariantError("saturation failed to stabilize")
+            result = current if result is None else ideal_intersection(result, current)
+        if steps:
+            note(f"saturation by {v} stabilized after {steps} quotients")
+    note(f"saturation: {len(result.gens)} generators")
+    return result
 
 
 def batch_groebner(I: Ideal) -> tuple:

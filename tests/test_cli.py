@@ -352,6 +352,22 @@ class TestBr:
         assert (s["t"], s["r"], s["n"], s["entry_degree"]) == (1, 3, 3, 1)
         assert s["degree"] == 5
 
+    def test_linear_row_without_last_variable_saturates(self, capsys):
+        # every linear form of this row (entries z1..z4 in P^5) lacks z5;
+        # the saturation exchanges its last variable with z5, and the top
+        # part is the one the double quotient gives (the golden text's JSON)
+        argv = [
+            "br", "--matrix", fixture("linear_row_p5.mat"),
+            "--sec-deg", "1", "--seed", "1", "--protocol",
+        ]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert "// top part: saturated by a linear form of the degeneracy locus" in lines
+        assert not any("cutting instead" in line for line in lines)
+        golden = Path(__file__).parent / "golden" / "br_linear_row_p5_seed1_protocol.txt"
+        assert lines[-1] == golden.read_text().splitlines()[-1]
+
     def test_matrix_contradiction(self, capsys):
         argv = [
             "br", "--matrix", fixture("koszul_p3.mat"), "--t", "2",

@@ -26,6 +26,9 @@ CASES = {
         "br", "--t", "1", "--r", "5", "--entry-deg", "1", "--sec-deg", "2", "--n", "6",
         "--seed", "1", "--verify", "--protocol",
     ],
+    "br_linear_row_p5_seed1_protocol": [
+        "br", "--matrix", fixture("linear_row_p5.mat"), "--sec-deg", "1", "--seed", "1", "--protocol",
+    ],
     "section_koszul_p3": ["section", "--matrix", fixture("koszul_p3.mat"), "--deg", "1", "--seed", "1"],
     "top_points5": ["top", "--ideal", fixture("points5.id"), "--seed", "1"],
     "res_points5": ["res", "--ideal", fixture("points5.id"), "--minimal"],

@@ -18,7 +18,8 @@ No module holds an assert statement: `python -O` strips them, so a broken
 invariant raises InvariantError instead.
 
 Monomials stay packed keys: only poly, which prints polynomials and hands
-out exponent dicts, imports ring.key_exponents to decode them.
+out exponent dicts, imports ring.key_exponents or calls PolyRing.exponents
+to decode them.
 
 Only the command line module reads the environment (os.environ,
 os.getenv), so no engine switch can hide in an environment variable.
@@ -209,13 +210,17 @@ def test_scan_flags_private_imports():
 
 
 def exponent_decoders(source: str) -> list[str]:
-    return [
-        f"key_exponents (line {node.lineno})"
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if alias.name == "key_exponents"
-    ]
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            faults.extend((node.lineno, "key_exponents") for a in node.names if a.name == "key_exponents")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "exponents"
+        ):
+            faults.append((node.lineno, ".exponents()"))
+    return [f"{name} (line {line})" for line, name in sorted(faults)]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "poly.py"], ids=lambda p: p.name)
@@ -228,8 +233,16 @@ def test_scan_flags_exponent_decoding():
         "from .ring import key_degree, key_exponents\n"
         "from brforge.ring import key_exponents as decode\n"
         "from .ring import key_lcm\n"
+        "e = ring.exponents(k)[-1]\n"
+        "f = g.ring.exponents(t) + exponents(t)\n"
+        "h = ring.exponents\n"
     )
-    assert exponent_decoders(source) == ["key_exponents (line 1)", "key_exponents (line 2)"]
+    assert exponent_decoders(source) == [
+        "key_exponents (line 1)",
+        "key_exponents (line 2)",
+        ".exponents() (line 4)",
+        ".exponents() (line 5)",
+    ]
 
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}

@@ -20,13 +20,14 @@ from brforge.ideals import (
     top_dimensional_part,
 )
 from brforge.hilbert import hilbert_report
+from brforge.io import read_ideal
 from brforge.poly import PolyRing
 from brforge.protocol import recording
 from brforge.ring import Rng
 
 import oracles
 
-from conftest import random_ideal
+from conftest import fixture, random_ideal
 
 
 P = 32003
@@ -37,7 +38,7 @@ class TestQuotient:
         # a tail reduction participates in the tracked run here; the
         # emitted cofactor was once wrong by a sign
         J = Ideal(ring3, [ring3.parse("z0*z1-z2*z3")])
-        Q = ideal_quotient(J, ring3.variables()[0])
+        Q = ideal_quotient(J, Ideal(ring3, [ring3.variables()[0]]))
         assert Q.equals(J)
 
     def test_quotient_dimensions_against_oracle(self, ring2):
@@ -75,6 +76,9 @@ class TestQuotient:
         I = Ideal(ring3, [ring3.variables()[0]])
         Q = ideal_quotient(I, I)
         assert Q.contains(ring3.one)
+        # I : 0 = R; the zero form gives the zero ideal
+        for J in (Ideal(ring3, [ring3.zero]), Ideal(ring3, [])):
+            assert ideal_quotient(I, J).gens == (ring3.one,)
 
 
 def _combination(ring, rng, parts, degree):
@@ -177,7 +181,7 @@ class TestCanonicalPresentation:
         for _ in range(4):
             I = random_ideal(ring3, rng, 3, 2)
             self._assert_canonical(ideal_quotient(I, random_ideal(ring3, rng, 2, 2)))
-            self._assert_canonical(ideal_quotient(I, ring3.random_form(1, rng)))
+            self._assert_canonical(ideal_quotient(I, Ideal(ring3, [ring3.random_form(1, rng)])))
         conic = Ideal(ring3, [ring3.parse("z3"), ring3.parse("z0*z1-z2^2")])
         point = Ideal(ring3, [ring3.parse("z1"), ring3.parse("z2"), ring3.parse("z3-z0")])
         self._assert_canonical(top_dimensional_part(ideal_intersection(conic, point), 2, Rng(57)))
@@ -243,7 +247,7 @@ class TestOneBasisBuild:
         for _ in range(3):
             I = Ideal(ring, _messy_generators(ring, rng))
             self._check(I)
-            Q = ideal_quotient(I, ring.random_form(1, rng))
+            Q = ideal_quotient(I, Ideal(ring, [ring.random_form(1, rng)]))
             assert Q.gens == oracles.canonical_generators(Q)
             self._check(Q)
             self._check(ideal_intersection(I, Ideal(ring, _messy_generators(ring, rng))))
@@ -301,7 +305,7 @@ class TestOneBasisBuild:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(ModuleGB, "__init__", counted)
-        Q = ideal_quotient(I, I.ring.variables()[0])
+        Q = ideal_quotient(I, Ideal(I.ring, [I.ring.variables()[0]]))
         assert len(engines) == 5
         assert Q.equals(I)
         assert len(engines) == 5
@@ -378,6 +382,57 @@ class TestSaturation:
                 for _ in range(6):
                     g = g * v
                 assert oracles.in_ideal(g, list(I.gens), ring3.nvars, P)
+
+
+def _notes_and_result(saturate, I):
+    lines = []
+    with recording(lines.append):
+        S = saturate(I)
+    return lines, S
+
+
+class TestSaturationAgainstQuotientLoop:
+    """saturation (one linear_saturation per variable) gives the generators
+    and the "stabilized after k quotients" notes of quotients by each
+    variable iterated until they stop growing (oracles)."""
+
+    @staticmethod
+    def _check(I):
+        notes, S = _notes_and_result(saturation, I)
+        loop_notes, loop = _notes_and_result(oracles.quotient_loop_saturation, I)
+        assert (notes, S.gens) == (loop_notes, loop.gens)
+        return notes
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_random_ideals(self, p):
+        rng = Rng(340 + p)
+        steps = Counter()
+        for n in (2, 3):
+            ring = PolyRing(p, n)
+            m = Ideal(ring, list(ring.variables()))
+            for trial in range(6):
+                B = random_ideal(ring, rng, 1 + rng.below(3), 2)
+                v = ring.variables()[rng.below(ring.nvars)]
+                # embedded components at the vertex and along a coordinate
+                # hyperplane, to one or two powers
+                J = m if trial % 2 else oracles.ideal_product(m, Ideal(ring, [v * v]))
+                I = oracles.ideal_product(B, oracles.ideal_product(J, J) if trial % 3 else J)
+                for line in self._check(I):
+                    if "stabilized" in line:
+                        steps[int(line.split()[-2])] += 1
+        assert steps[1] and sum(c for k, c in steps.items() if k >= 2), steps
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ci_quadrics_p4", "deg54_saturated", "deg54_section", "plane_p5", "points5",
+         "skew5_pfaffians", "veronese", "veronese_union_plane"],
+    )
+    def test_fixtures(self, name):
+        # each fixture, and its product with the irrelevant ideal
+        I = read_ideal(fixture(name + ".id"))
+        self._check(I)
+        notes = self._check(oracles.ideal_product(I, Ideal(I.ring, list(I.ring.variables()))))
+        assert len(notes) == I.ring.nvars + 1
 
 
 class TestSmallFieldOracles:
@@ -489,15 +544,6 @@ class TestTopDimensionalPart:
         assert again.equals(top)
 
 
-def _saturated(I, h):
-    """I : h^infinity by quotients by h until they stop growing."""
-    while True:
-        bigger = ideal_quotient(I, h)
-        if bigger.equals(I):
-            return I
-        I = bigger
-
-
 def _routes(ring, spec, seed):
     """A kernel section's top part, the double quotient of its section
     ideal with fresh draws, and whether the run fell back to a cut."""
@@ -517,30 +563,49 @@ class TestLinearSaturation:
     def test_against_iterated_quotients(self, p):
         ring = PolyRing(p, 3)
         rng = Rng(500 + p)
-        zn = ring.variables()[-1]
-        for trial in range(6):
-            h = zn if trial == 0 else ring.random_form(1, rng)
-            if dict(h.terms).get(zn.terms[0][0], 0) == 0:
-                assert linear_saturation(Ideal(ring, [zn]), h) is None
-                continue
+        z = ring.variables()
+
+        def scalar():
+            return ring.parse(str(1 + rng.below(p - 1)))
+
+        # every variable, forms whose last variable is z0, z1 or z2 (no z_n
+        # term), and random forms
+        forms = list(z) + [
+            sum((scalar() * v for v in z[: j + 1]), ring.zero) for j in range(3)
+        ]
+        forms += [ring.random_form(1, rng) for _ in range(6)]
+        without_zn = 0
+        for trial, h in enumerate(f for f in forms if not f.is_zero()):
+            without_zn += h.terms[-1][0] != z[-1].terms[0][0]
             # components along h, embedded and not, beside a random ideal
             B = random_ideal(ring, rng, 2, 2)
             along = Ideal(ring, [h, ring.random_form(1, rng)])
             I = oracles.ideal_product(B, oracles.ideal_product(along, along) if trial % 2 else along)
             S = linear_saturation(I, h)
-            assert S.equals(_saturated(I, h)), (p, trial)
+            assert S.equals(oracles.saturated_by(I, h)), (p, trial)
             TestCanonicalPresentation._assert_canonical(S)
+        assert without_zn >= 6
 
     def test_edge_cases(self, ring3):
         z = ring3.variables()
-        assert linear_saturation(Ideal(ring3, [z[0]]), z[0] + z[1]) is None
-        assert linear_saturation(Ideal(ring3, [z[0]]), ring3.zero) is None
+        unit = (ring3.one,)
+        assert linear_saturation(Ideal(ring3, [z[0]]), ring3.zero).gens == unit
+        assert linear_saturation(Ideal(ring3, []), ring3.zero).gens == unit
         assert linear_saturation(Ideal(ring3, []), z[3]).is_zero()
+        assert linear_saturation(Ideal(ring3, []), z[1]).is_zero()
         with pytest.raises(ValueError):
             linear_saturation(Ideal(ring3, [z[0]]), z[3] * z[3])
         I = Ideal(ring3, [z[0] * z[3], z[1] * z[3] ** 2])
         assert linear_saturation(I, z[3]).equals(Ideal(ring3, [z[0], z[1]]))
         assert linear_saturation(I, z[3] - z[2]).equals(I)
+        # h without a z_n term: its last variable is exchanged with z_n
+        J = Ideal(ring3, [z[0] * z[1], z[2] * z[1] ** 2, z[3] ** 3])
+        assert linear_saturation(J, z[1]).equals(Ideal(ring3, [z[0], z[2], z[3] ** 3]))
+        line = Ideal(ring3, [z[0], z[2]])
+        h = z[0] + z[1]
+        assert linear_saturation(oracles.ideal_product(line, Ideal(ring3, [h])), h).equals(line)
+        # nothing divided out, and still canonical: ascending, monic
+        assert linear_saturation(Ideal(ring3, [z[0] + z[2], z[2]]), h).gens == (z[2], z[0])
 
     @pytest.mark.parametrize(
         "n, r, section_degree, seeds",
@@ -557,8 +622,8 @@ class TestLinearSaturation:
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_small_fields_fall_back_and_match(self, p):
-        # a linear form with no z_n term, or one through a top component,
-        # is common here; the fallback then cuts, and the results agree
+        # a linear form that vanishes on a top component (or h = 0) is
+        # common here; the fallback then cuts, and the results agree
         ring = PolyRing(p, 3)
         routes = Counter()
         for seed in range(1, 21):

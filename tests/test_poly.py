@@ -108,8 +108,28 @@ class TestDegreesAndShapes:
 
 
 class TestLastVariable:
-    """The two helpers behind ideals.linear_saturation: replacing z_n by a
-    form, and dividing out the largest power of z_n."""
+    """The helpers behind ideals.linear_saturation: exchanging a variable
+    with z_n, replacing z_n by a form, and dividing out the largest power
+    of z_n."""
+
+    @pytest.mark.parametrize("p", [3, 32003])
+    def test_swap_against_exponent_tuples(self, p):
+        ring = PolyRing(p, 3)
+        rng = Rng(420 + p)
+        for j, v in enumerate(ring.variables()):
+            var = v.terms[0][0]
+            for _ in range(6):
+                f = ring.random_form(rng.below(4), rng)
+                swapped = f.swap_last(var)
+                expected = {}
+                for exps, c in f.as_dict().items():
+                    e = list(exps)
+                    e[j], e[-1] = e[-1], e[j]
+                    expected[tuple(e)] = c
+                assert swapped.as_dict() == expected
+                assert swapped == ring.from_dict(expected)  # terms in ring order
+                assert swapped.swap_last(var) == f
+            assert v.swap_last(var) == ring.variables()[-1]
 
     @pytest.mark.parametrize("p", [3, 7, 32003])
     def test_substitution_against_dense_expansion(self, p):
