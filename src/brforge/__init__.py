@@ -4,13 +4,14 @@ arithmetically Gorenstein subschemes as kernel sections, with Gorenstein
 liaison on top.
 """
 
-from .ring import PrimeField, Rng
+from .ring import Rng
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .ideals import (
     ConstructionError,
     Ideal,
     InvariantError,
     affine_dimension,
+    draw_regular_sequence,
     ideal_intersection,
     ideal_quotient,
     linear_saturation,
@@ -82,7 +83,6 @@ from .io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimeField",
     "Rng",
     "FreeModuleElement",
     "Polynomial",
@@ -91,6 +91,7 @@ __all__ = [
     "Ideal",
     "InvariantError",
     "affine_dimension",
+    "draw_regular_sequence",
     "ideal_intersection",
     "ideal_quotient",
     "linear_saturation",

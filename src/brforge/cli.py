@@ -550,12 +550,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="forge", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, seeded=True, outputs=True):
+    def common(p, *, seeded=True):
         if seeded:
             p.add_argument("--seed", type=int, required=True, help="random seed (required)")
-        if outputs:
-            p.add_argument("--protocol", action="store_true", help="print '//' progress lines")
-            p.add_argument("--out", help="directory for intermediate objects")
+        p.add_argument("--protocol", action="store_true", help="print '//' progress lines")
+        p.add_argument("--out", help="directory for intermediate objects")
 
     p = sub.add_parser("br", help="random kernel section and its top-dimensional part")
     p.add_argument("--t", type=int, help="matrix rows")

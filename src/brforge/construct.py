@@ -233,15 +233,13 @@ def check_expected_codim(M: GradedMatrix, t: int, r: int) -> bool:
 class SectionResult:
     """A random section: the combined module element, its module twist, the
     drawn coefficient forms, the ideal of its entries (the transpose of the
-    vector), and, once checked or computed, the regularity flag and the
-    top-dimensional part of its vanishing locus."""
+    vector), and, once checked, the regularity flag."""
 
     vector: FreeModuleElement
     degree: int
     coefficients: tuple[Polynomial, ...]
     ideal: Ideal
     regular: Optional[bool] = None
-    top: Optional[Ideal] = None
 
 
 _DRAWS = 64
@@ -250,17 +248,20 @@ _DRAWS = 64
 def combine_columns(M: GradedMatrix, degree: int, rng: Rng) -> SectionResult:
     """Random combination of the columns of M with sparse coefficient forms
     at the given uniform module twist; columns too large to contribute get
-    zero coefficients.  An all-zero draw is retried, up to _DRAWS draws in
+    zero coefficients (a sparse form of negative degree is zero and draws
+    nothing), and when every column is too large the request is refused
+    before any draw.  An all-zero draw is retried, up to _DRAWS draws in
     all: a sparse form of degree 0 is zero with probability 1/2, so a cap of
     five draws gave up about once in 32 runs."""
     if M.cols == 0:
         raise ConstructionError("no columns to combine")
+    if min(M.col_twists) > degree:
+        raise ConstructionError(
+            f"no kernel column has twist at most {degree} (the smallest is {min(M.col_twists)})"
+        )
     ring = M.ring
     for attempt in range(_DRAWS):
-        coeffs = []
-        for ct in M.col_twists:
-            rel = degree - ct
-            coeffs.append(ring.sparse_form(rel, rng) if rel >= 0 else ring.zero)
+        coeffs = [ring.sparse_form(degree - ct, rng) for ct in M.col_twists]
         vec = M.apply_to(coeffs)
         if not vec.is_zero():
             note(f"section of degree {degree} on attempt {attempt + 1}")
@@ -332,7 +333,7 @@ def _top_part(M: GradedMatrix, spec: ConstructionSpec, I: Ideal, rng: Rng) -> Id
         draws = Rng(0)  # a fixed stream: the seeded one is left to the fallback
         h = ring.zero
         for e in M.entries[0]:
-            h = h + ring.from_terms({0: draws.below(ring.p)}) * e
+            h = h + ring.random_form(0, draws) * e
         J = linear_saturation(I, h)
         if (J.codimension(), J.hilbert().degree) == (spec.r, I.hilbert().degree):
             note("top part: saturated by a linear form of the degeneracy locus")
@@ -379,16 +380,14 @@ def kernel_section_run(
             if dim == nvars - spec.r:
                 if escalation:
                     note(f"section degree escalated {escalation} time(s)")
-                top = _top_part(M, spec, sec.ideal, rng)
-                sec = replace(sec, regular=True, top=top)
                 return KernelSectionRun(
                     spec=spec,
                     matrix=M,
                     kernel=B,
-                    section=sec,
+                    section=replace(sec, regular=True),
                     section_degree=sec.degree,
                     escalations=escalation,
-                    gorenstein=top,
+                    gorenstein=_top_part(M, spec, sec.ideal, rng),
                 )
             last_error = (
                 f"vanishing locus has affine dimension {dim},"
@@ -443,7 +442,7 @@ def verify_construction(I: Ideal, twists: TwistSpec) -> ConstructionReport:
     chern = chern_coefficients(twists)
     shape = expected_resolution(twists)
     rep = I.hilbert()
-    res = free_resolution(I).minimize()
+    res = free_resolution(I)
     betti = res.betti()
     cert = gorenstein_certificate(I, resolution=res)
     return ConstructionReport(

@@ -47,6 +47,7 @@ __all__ = [
     "linear_saturation",
     "affine_dimension",
     "regular_sequence",
+    "draw_regular_sequence",
     "top_dimensional_part",
 ]
 
@@ -322,7 +323,7 @@ def _saturate(I: Ideal, h: Polynomial) -> tuple[Ideal, int]:
     var, c = h.terms[-1]  # degrevlex puts h's last variable last
     swapped = h.swap_last(var)
     zn = ring.variables()[-1].terms[0][0]
-    inv = ring.field.inv(c)
+    inv = pow(c, -1, ring.p)
     moved = ring.from_terms({k: inv if k == zn else -a * inv for k, a in swapped.terms})
     K = Ideal(ring, [g.swap_last(var).substitute_last(moved) for g in I.gens])
     new, k = [], 0
@@ -366,37 +367,52 @@ def regular_sequence(ring: PolyRing, forms: Sequence[Polynomial]) -> Optional[Id
     return out
 
 
+def draw_regular_sequence(
+    I: Ideal, degrees: Sequence[int], rng: Rng, attempts: int
+) -> Optional[tuple[Ideal, int]]:
+    """A regular sequence of forms of the given degrees inside I, drawn up
+    to `attempts` times: (its ideal, the number of the attempt that drew
+    it), or None when every attempt fails.
+
+    A form of degree d is the sum over I's generators g, in order, of
+    sparse_form(d - deg g) * g; a generator above d contributes zero and
+    draws nothing."""
+    ring = I.ring
+    for attempt in range(1, attempts + 1):
+        forms = []
+        for d in degrees:
+            f = ring.zero
+            for g in I.gens:
+                f = f + ring.sparse_form(d - g.degree(), rng) * g
+            forms.append(f)
+        J = regular_sequence(ring, forms)
+        if J is not None:
+            return J, attempt
+    return None
+
+
 def top_dimensional_part(I: Ideal, r: int, rng: Rng) -> Ideal:
     """The intersection of the codimension-r primary components.
 
-    Picks r random forms inside I, keeps them when they are a regular
-    sequence (so they cut codimension r), and returns the double quotient
-    (J : (J : I)).  Retries the draw up to five times per degree, then
-    raises the form degree, twice at most.
+    Draws r forms inside I that are a regular sequence (so they cut
+    codimension r), and returns the double quotient (J : (J : I)).  Tries
+    five draws per degree, then raises the form degree, twice at most.
     """
-    ring = I.ring
     if I.is_zero():
         raise ValueError("top part of the zero ideal")
     if I.codimension() != r:
         raise ConstructionError(f"expected codimension {r}, found {I.codimension()}")
     dmax = max(g.degree() for g in I.gens)
-    for bump in range(3):
-        degree = dmax + bump
-        for attempt in range(5):
-            combos = []
-            for _ in range(r):
-                f = ring.zero
-                for g in I.gens:
-                    f = f + ring.sparse_form(degree - g.degree(), rng) * g
-                combos.append(f)
-            J = regular_sequence(ring, combos)
-            if J is None:
-                continue
-            note(f"top part: cut with {r} forms of degree {degree} (attempt {attempt + 1})")
-            with recording(None):
-                link = ideal_quotient(J, I)
-                return ideal_quotient(J, link)
-        note(f"top part: all draws at degree {degree} degenerate, raising degree")
+    for degree in range(dmax, dmax + 3):
+        drawn = draw_regular_sequence(I, [degree] * r, rng, 5)
+        if drawn is None:
+            note(f"top part: all draws at degree {degree} degenerate, raising degree")
+            continue
+        J, attempt = drawn
+        note(f"top part: cut with {r} forms of degree {degree} (attempt {attempt})")
+        with recording(None):
+            link = ideal_quotient(J, I)
+            return ideal_quotient(J, link)
     raise ConstructionError(
         f"no regular sequence of length {r} found in the ideal after escalation"
     )

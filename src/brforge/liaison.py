@@ -21,9 +21,9 @@ from .ideals import (
     ConstructionError,
     Ideal,
     InvariantError,
+    draw_regular_sequence,
     ideal_quotient,
     poly_to_vec,
-    regular_sequence,
     saturation,
     top_dimensional_part,
 )
@@ -53,7 +53,8 @@ def module_intersection(B: GradedMatrix, C: GradedMatrix) -> GradedMatrix:
     """Generators of (column span of B) meet (column span of C), as columns.
 
     Both bases are completed separately, then a tracked intersection pass
-    over them yields the intersection, pruned to minimal generators.
+    over them yields the intersection, pruned to minimal generators, which
+    come in ascending degree.
     """
     if B.ring != C.ring or B.row_twists != C.row_twists:
         raise ValueError("modules live in different ambient frames")
@@ -75,13 +76,8 @@ def module_intersection(B: GradedMatrix, C: GradedMatrix) -> GradedMatrix:
         return GradedMatrix.from_columns(ring, twists, [], [])
     vals = tracked_intersection(basis_b, basis_c, p, twists)
     note(f"module intersection emitted {len(vals)} candidates")
-    keep = minimal_generating_subset(vals, p, twists)
-    cols = [vals[i] for i in keep]
-    degs = [vec_degree(v, twists) for v in cols]
-    order = sorted(range(len(cols)), key=lambda i: (degs[i], i))
-    return GradedMatrix.from_columns(
-        ring, twists, [cols[i] for i in order], [degs[i] for i in order]
-    )
+    cols = [vals[i] for i in minimal_generating_subset(vals, p, twists)]
+    return GradedMatrix.from_columns(ring, twists, cols, [vec_degree(v, twists) for v in cols])
 
 
 def common_section(phi: GradedMatrix, IV: Ideal, d: int, rng: Rng) -> SectionResult:
@@ -235,7 +231,6 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
     if sec is None:
         raise ConstructionError("no regular section of the kernel in the target degree")
     top = top_dimensional_part(sec.ideal, 3, rng)
-    sec = replace(sec, top=top)
     res_x = free_resolution(top)
     betti = res_x.betti()
     gen_degrees = tuple(sorted(res_x.twists[0]))
@@ -271,20 +266,11 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
 
 
 def _random_complete_intersection(IG: Ideal, degrees: Sequence[int], rng: Rng) -> Ideal:
-    ring = IG.ring
-    for attempt in range(20):
-        forms = []
-        for dk in degrees:
-            f = ring.zero
-            for g in IG.gens:
-                rel = dk - g.degree()
-                if rel >= 0:
-                    f = f + ring.sparse_form(rel, rng) * g
-            forms.append(f)
-        ci = regular_sequence(ring, forms)
-        if ci is not None:
-            note(f"complete intersection of type {tuple(degrees)} on attempt {attempt + 1}")
-            return ci
-    raise ConstructionError(
-        f"no complete intersection of type {tuple(degrees)} found in 20 draws"
-    )
+    drawn = draw_regular_sequence(IG, degrees, rng, 20)
+    if drawn is None:
+        raise ConstructionError(
+            f"no complete intersection of type {tuple(degrees)} found in 20 draws"
+        )
+    ci, attempt = drawn
+    note(f"complete intersection of type {tuple(degrees)} on attempt {attempt}")
+    return ci

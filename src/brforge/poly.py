@@ -5,7 +5,9 @@ packed monomials from ring.monomial_key, sorted descending (the integer
 order is the ring order), coefficients canonical in [1, p).  Exponents and
 total degrees are at most ring.MAX_DEGREE.  Instances are immutable; all
 arithmetic returns fresh objects.  Construction goes through a PolyRing,
-which also owns parsing, printing, and random draws.
+which owns the coefficient field (the odd prime p, checked once), parsing,
+printing, and every random draw: random_form and sparse_form are the only
+two ways a form is drawn from an Rng.
 """
 
 from __future__ import annotations
@@ -15,22 +17,53 @@ from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .ring import MAX_DEGREE, MAX_N, PrimeField, Rng, key_degree, key_exponents, monomial_key
+from .ring import MAX_DEGREE, MAX_N, Rng, key_degree, key_exponents, monomial_key
 
 __all__ = ["PolyRing", "Polynomial", "FreeModuleElement"]
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|z(?P<var>\d+)|(?P<op>[\^*+-]))")
 
 
-class PolyRing:
-    """Coefficient field GF(p) and variables z0..zn, degrevlex order only."""
+def _is_prime(m: int) -> bool:
+    if m < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if m % q == 0:
+            return m == q
+    # Deterministic Miller-Rabin; these witnesses cover everything below 2**31.
+    d = m - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11):
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
-    __slots__ = ("field", "n", "nvars", "_mon_cache", "zero", "one", "_vars")
+
+class PolyRing:
+    """Coefficient field GF(p), p an odd prime below 2**31, and variables
+    z0..zn, degrevlex order only.  Coefficients are canonical ints in
+    [0, p); printing uses the symmetric representative in (-p/2, p/2]."""
+
+    __slots__ = ("p", "n", "nvars", "_mon_cache", "zero", "one", "_vars")
 
     def __init__(self, p: int, n: int):
         if not (0 <= n <= MAX_N):
             raise ValueError(f"variable index bound n must be in [0, {MAX_N}]: {n}")
-        self.field = PrimeField(p)
+        if not isinstance(p, int) or not (2 < p < 2**31):
+            raise ValueError(f"characteristic must be an int in (2, 2**31): {p!r}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime: {p}")
+        self.p = p
         self.n = n
         self.nvars = n + 1
         self._mon_cache: dict[int, tuple[int, ...]] = {}
@@ -39,10 +72,6 @@ class PolyRing:
         self._vars = tuple(
             Polynomial(self, ((monomial_key((0,) * i + (1,)), 1),)) for i in range(self.nvars)
         )
-
-    @property
-    def p(self) -> int:
-        return self.field.p
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PolyRing) and other.p == self.p and other.n == self.n
@@ -90,7 +119,8 @@ class PolyRing:
 
     def random_form(self, d: int, rng: Rng) -> "Polynomial":
         """Form of degree d with an independent uniform coefficient (0 allowed)
-        drawn for every monomial, in descending ring order."""
+        drawn for every monomial, in descending ring order.  A negative
+        degree has no monomials: the form is zero and nothing is drawn."""
         terms = []
         for k in self._keys_of_degree(d):
             c = rng.below(self.p)
@@ -101,7 +131,9 @@ class PolyRing:
     def sparse_form(self, d: int, rng: Rng) -> "Polynomial":
         """Form of degree d where each monomial, taken in descending ring
         order, is kept with probability 1/2 (one bit drawn) and, if kept,
-        receives a uniform nonzero coefficient (one draw below p-1)."""
+        receives a uniform nonzero coefficient (one draw below p-1).  A
+        negative degree has no monomials: the form is zero and nothing is
+        drawn."""
         terms = []
         for k in self._keys_of_degree(d):
             if rng.bit():
@@ -192,10 +224,12 @@ class PolyRing:
     def format(self, f: "Polynomial") -> str:
         if not f.terms:
             return "0"
-        field = self.field
+        p = self.p
         parts: list[str] = []
         for idx, (k, c) in enumerate(f.terms):
-            cs = field.symmetric(c)
+            cs = c % p
+            if cs > p // 2:
+                cs -= p
             mag = abs(cs)
             factors = []
             for v, e in enumerate(self.exponents(k)):

@@ -149,9 +149,6 @@ class BettiTable:
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.data)
 
-    def steps(self) -> int:
-        return 1 + max((k[0] for k, _ in self.data), default=-1)
-
     def lines(self) -> list[str]:
         return [f"{step} {deg} {rank}" for (step, deg), rank in self.data]
 

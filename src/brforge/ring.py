@@ -1,4 +1,4 @@
-"""Prime fields, packed monomial keys, and a seeded RNG.
+"""Packed monomial keys and a seeded RNG.
 
 A monomial z0^e0 * ... * zn^en and a module term m*e_comp are each one
 Python int, so multiplying by a monomial is adding ints and comparing terms
@@ -35,6 +35,10 @@ exponent is at most MAX_DEGREE = B/2 - 1 = 2047, and so is a total degree
 guard bits survive.  Exponent
 tuples are decoded only where text, tuples or exponent data cross the
 boundary of the program.
+
+The coefficient field GF(p) is the prime int p a poly.PolyRing holds, and
+every random form is drawn from an Rng by PolyRing.random_form or
+PolyRing.sparse_form; no other module draws from one.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "MAX_DEGREE",
     "MAX_RANK",
     "COMP_BITS",
-    "PrimeField",
     "Rng",
     "monomial_key",
     "key_degree",
@@ -73,69 +76,6 @@ _GUARD = sum(1 << (COMP_BITS + EXP_BITS * i + EXP_BITS - 1) for i in range(_FIEL
 _DIV_MASK = _GUARD | _COMP_MASK
 
 _MASK64 = (1 << 64) - 1
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % q == 0:
-            return m == q
-    # Deterministic Miller-Rabin; these witnesses cover everything below 2**31.
-    d = m - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11):
-        x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
-
-
-class PrimeField:
-    """Arithmetic mod an odd prime p with 2 < p < 2**31.
-
-    Elements are canonical ints in [0, p).  Printing uses the symmetric
-    representative in (-p/2, p/2], which is what `symmetric` returns.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not (2 < p < 2**31):
-            raise ValueError(f"characteristic must be an int in (2, 2**31): {p!r}")
-        if not _is_prime(p):
-            raise ValueError(f"characteristic must be prime: {p}")
-        self.p = p
-
-    def normalize(self, c: int) -> int:
-        return c % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0 in prime field")
-        return pow(a, -1, self.p)
-
-    def symmetric(self, c: int) -> int:
-        c %= self.p
-        return c if c <= self.p // 2 else c - self.p
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
 
 class Rng:

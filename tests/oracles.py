@@ -14,7 +14,14 @@ from typing import Sequence
 
 from brforge.chern import ExpectedShape
 from brforge.engine import InvariantError, ModuleGB, minimal_generating_subset, vec_degree
-from brforge.ideals import Ideal, ideal_intersection, ideal_quotient, poly_to_vec, vec_to_poly
+from brforge.ideals import (
+    Ideal,
+    ideal_intersection,
+    ideal_quotient,
+    poly_to_vec,
+    regular_sequence,
+    vec_to_poly,
+)
 from brforge.protocol import note, recording
 from brforge.resolution import GradedMatrix, Resolution
 from brforge.ring import (
@@ -477,7 +484,7 @@ def cancel_units(res: Resolution) -> tuple[Resolution, int]:
         k, i, j = pos
         cancelled += 1
         M = mats[k]
-        inv = ring.field.inv(M[i][j].terms[0][1])
+        inv = pow(M[i][j].terms[0][1], -1, ring.p)
         # clear row i using column ops; mirror as row ops on the next matrix
         for l in range(len(twists[k + 1])):
             if l == j or M[i][l].is_zero():
@@ -595,6 +602,46 @@ def quotient_loop_saturation(I: Ideal) -> Ideal:
             note(f"saturation by {v} stabilized after {steps} quotients")
     note(f"saturation: {len(result.gens)} generators")
     return result
+
+
+def top_part_cut(I: Ideal, r: int, degree: int, rng):
+    """The draw of r forms of one degree inside I as top_dimensional_part
+    made it before ideals.draw_regular_sequence: five attempts, each form
+    the sum over I's generators of a sparse form times the generator.
+    (the regular sequence's ideal, the attempt that drew it), or None."""
+    ring = I.ring
+    for attempt in range(5):
+        combos = []
+        for _ in range(r):
+            f = ring.zero
+            for g in I.gens:
+                f = f + ring.sparse_form(degree - g.degree(), rng) * g
+            combos.append(f)
+        J = regular_sequence(ring, combos)
+        if J is not None:
+            return J, attempt + 1
+    return None
+
+
+def complete_intersection_cut(IG: Ideal, degrees: Sequence[int], rng):
+    """The draw of a complete intersection of the given degrees inside IG
+    as the liaison layer made it before ideals.draw_regular_sequence: 20
+    attempts, generators above a degree skipped.  (the complete
+    intersection, the attempt that drew it), or None."""
+    ring = IG.ring
+    for attempt in range(20):
+        forms = []
+        for dk in degrees:
+            f = ring.zero
+            for g in IG.gens:
+                rel = dk - g.degree()
+                if rel >= 0:
+                    f = f + ring.sparse_form(rel, rng) * g
+            forms.append(f)
+        ci = regular_sequence(ring, forms)
+        if ci is not None:
+            return ci, attempt + 1
+    return None
 
 
 def batch_groebner(I: Ideal) -> tuple:

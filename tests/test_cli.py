@@ -10,6 +10,7 @@ import brforge.hilbert
 from brforge.cli import main
 from brforge.ideals import Ideal, InvariantError
 from brforge.io import read_ideal, read_matrix, write_ideal, write_matrix
+from brforge.poly import PolyRing
 from brforge.protocol import note, recording
 from brforge.resolution import GradedMatrix, free_resolution
 
@@ -419,6 +420,24 @@ class TestBr:
         assert [str(g) for g in top.gens] == summary_of(out)["generators"]
         assert (out_dir / "section.id").exists()
 
+
+    def test_impossible_section_degree_is_refused_before_drawing(self, capsys, monkeypatch):
+        # the kernel of a 1x4 matrix of quadrics sits at twist 4, so a
+        # section at twist 3 has nothing to combine
+        drawn = []
+        sparse_form = PolyRing.sparse_form
+        monkeypatch.setattr(
+            PolyRing, "sparse_form", lambda ring, d, rng: drawn.append(d) or sparse_form(ring, d, rng)
+        )
+        argv = [
+            "br", "--t", "1", "--r", "3", "--entry-deg", "2",
+            "--sec-deg", "1", "--n", "3", "--seed", "4", "--protocol",
+        ]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err == "forge br: no kernel column has twist at most 3 (the smallest is 4)\n"
+        assert out.splitlines()[-1] == "// kernel has 6 generators of degrees [4]"
+        assert drawn == []
 
     def test_predictions_follow_an_escalated_twist(self, capsys):
         # seed 1 escalates the section from twist 4 to 5; the predictions

@@ -23,6 +23,10 @@ to decode them.
 
 Only the command line module reads the environment (os.environ,
 os.getenv), so no engine switch can hide in an environment variable.
+
+Only ring, which defines the Rng, and poly, whose PolyRing.random_form and
+sparse_form draw every random form, call an Rng's below, bit or next64, so
+the draw protocol of a seeded run is the one those two methods document.
 """
 
 import ast
@@ -276,3 +280,35 @@ def test_scan_flags_environment_reads():
         "getenv (line 3)",
         "getenv (line 4)",
     ]
+
+
+DRAWS = {"below", "bit", "next64"}
+
+
+def rng_draws(source: str) -> list[str]:
+    return [
+        f"{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in DRAWS
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in ("ring.py", "poly.py")], ids=lambda p: p.name
+)
+def test_only_ring_and_poly_draw_from_an_rng(path):
+    assert rng_draws(path.read_text()) == []
+
+
+def test_scan_flags_rng_draws():
+    source = (
+        "c = draws.below(ring.p)\n"
+        "if rng.bit():\n"
+        "    x = Rng(0).next64()\n"
+        "f = ring.sparse_form(2, rng)\n"
+        "below = rng.below\n"
+        "y = below_bound(3)  # rng.bit()\n"
+    )
+    assert rng_draws(source) == ["below (line 1)", "bit (line 2)", "next64 (line 3)"]

@@ -12,6 +12,7 @@ from brforge.ideals import (
     InvariantError,
     _essential_targets,
     affine_dimension,
+    draw_regular_sequence,
     ideal_intersection,
     ideal_quotient,
     linear_saturation,
@@ -525,6 +526,51 @@ class TestRegularSequence:
             seen["powers", self._check(ring, [v ** (1 + i) for i, v in enumerate(z)])] += 1
         assert seen["random", True] and seen["random", False]
         assert seen["powers", True] == 4
+
+
+class TestDrawRegularSequence:
+    """draw_regular_sequence against the two loops it replaced,
+    oracles.top_part_cut and oracles.complete_intersection_cut: the same
+    forms, the same attempt, and the stream left at the same place."""
+
+    @staticmethod
+    def _same(drawn, expected, rng, again):
+        """The attempt both draws stopped at, 0 for none."""
+        if expected is None:
+            assert drawn is None
+        else:
+            J, attempt = drawn
+            assert J.gens == expected[0].gens
+            assert attempt == expected[1]
+        assert rng.next64() == again.next64()
+        return expected[1] if expected else 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 32003])
+    def test_against_the_loops_it_replaced(self, p):
+        ring = PolyRing(p, 3)
+        attempts = Counter()
+        below = 0
+        for seed in range(4):
+            rng = Rng(900 + 10 * p + seed)
+            I = random_ideal(ring, rng, 2 + rng.below(2), 3)
+            dmax = max(g.degree() for g in I.gens)
+            for r in (1, 2, 4):
+                for degree in (dmax, dmax + 1):
+                    a, b = Rng(seed), Rng(seed)
+                    got = draw_regular_sequence(I, [degree] * r, a, 5)
+                    attempts[self._same(got, oracles.top_part_cut(I, r, degree, b), a, b)] += 1
+            # complete intersections whose degrees sit below some generator's
+            mixed = Ideal(ring, [ring.random_form(d, rng) for d in (1, 2, 3)])
+            for degrees in ((1, 2, 3), (1, 1, 2), (2, 2, 3), (1, 3, 3)):
+                below += any(d < g.degree() for d in degrees for g in mixed.gens)
+                a, b = Rng(seed), Rng(seed)
+                got = draw_regular_sequence(mixed, degrees, a, 20)
+                want = oracles.complete_intersection_cut(mixed, degrees, b)
+                attempts[self._same(got, want, a, b)] += 1
+        assert below
+        assert attempts[0], "no draw failed every attempt"
+        assert attempts[1], "no draw succeeded at once"
+        assert sum(n for k, n in attempts.items() if k > 1), "no first attempt failed"
 
 
 class TestTopDimensionalPart:

@@ -422,7 +422,6 @@ class TestBettiTable:
         d = {(0, 2): 3, (1, 3): 2}
         t = BettiTable.from_dict(d)
         assert t.as_dict() == d
-        assert t.steps() == 2
         assert t.lines() == ["0 2 3", "1 3 2"]
 
     def test_from_twists(self):

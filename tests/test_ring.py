@@ -2,10 +2,10 @@ from itertools import product
 
 import pytest
 
+from brforge.poly import PolyRing
 from brforge.ring import (
     COMP_BITS,
     MAX_DEGREE,
-    PrimeField,
     Rng,
     key_component,
     key_degree,
@@ -33,29 +33,44 @@ def degrevlex_cmp(a, b):
 
 
 class TestPrimeField:
+    """GF(p) as a PolyRing holds it: the prime int p, checked once."""
+
     def test_arithmetic(self):
-        F = PrimeField(23)
-        assert F.normalize(-5) == 18
-        assert 7 * F.inv(7) % 23 == 1
+        ring = PolyRing(23, 1)
+        assert ring.from_terms({0: -5}).terms == ((0, 18),)
+        assert ring.parse("7") * ring.parse("10") == ring.one
 
     def test_symmetric_representative(self):
-        F = PrimeField(23)
-        assert F.symmetric(11) == 11
-        assert F.symmetric(12) == -11
-        assert F.symmetric(22) == -1
-        assert F.normalize(-1) == 22
+        ring = PolyRing(23, 1)
+        assert [ring.format(ring.from_terms({0: c})) for c in (11, 12, 22, -1)] == [
+            "11",
+            "-11",
+            "-1",
+            "-1",
+        ]
+        assert ring.format(ring.parse("12*z0 + 11*z1")) == "-11*z0 + 11*z1"
 
-    def test_inverse_of_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            PrimeField(23).inv(0)
-
-    @pytest.mark.parametrize("bad", [1, 2, 4, 91, 32004, 2**31 + 11])
-    def test_rejects_bad_characteristic(self, bad):
-        with pytest.raises(ValueError):
-            PrimeField(bad)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param(bad, message, id=str(bad))
+            for bad, message in [
+                (1, "characteristic must be an int in (2, 2**31): 1"),
+                (2, "characteristic must be an int in (2, 2**31): 2"),
+                (4, "characteristic must be prime: 4"),
+                (91, "characteristic must be prime: 91"),
+                (32004, "characteristic must be prime: 32004"),
+                (2**31 + 11, "characteristic must be an int in (2, 2**31): 2147483659"),
+            ]
+        ],
+    )
+    def test_rejects_bad_characteristic(self, bad, message):
+        with pytest.raises(ValueError) as err:
+            PolyRing(bad, 3)
+        assert str(err.value) == message
 
     def test_accepts_default_characteristic(self):
-        assert PrimeField(32003).p == 32003
+        assert PolyRing(32003, 3).p == 32003
 
 
 class TestRng:
