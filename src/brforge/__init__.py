@@ -26,7 +26,6 @@ from .hilbert import (
     hilbert_report,
 )
 from .resolution import (
-    BettiTable,
     GorensteinCertificate,
     GradedMatrix,
     Resolution,
@@ -36,8 +35,8 @@ from .resolution import (
     syzygy_matrix,
 )
 from .chern import (
+    BettiTable,
     ChernReport,
-    ExpectedShape,
     GenBRSpec,
     TwistSpec,
     chern_coefficients,
@@ -111,7 +110,6 @@ __all__ = [
     "regularity",
     "syzygy_matrix",
     "ChernReport",
-    "ExpectedShape",
     "GenBRSpec",
     "TwistSpec",
     "chern_coefficients",

@@ -3,33 +3,28 @@ pfaffians, kernel sections, and the full Gorenstein pipeline.
 
 The pipeline draws a random graded matrix, checks the expected codimension
 of its maximal minors, computes the kernel (first syzygies), combines the
-kernel columns into a random section of prescribed degree, verifies the
-section is regular (its vanishing locus has the expected dimension), and
-extracts the top-dimensional part, which is the arithmetically Gorenstein
-subscheme the twist data predicts: one saturation by a linear form of the
-degeneracy locus when that locus is linear (_top_part), else the double
-quotient of ideals.top_dimensional_part.
+kernel columns into a random section of prescribed degree (combine_columns,
+which also decides, once, whether the section is regular: its vanishing
+locus has the codimension of the kernel's rank), and extracts the
+top-dimensional part, which is the arithmetically Gorenstein subscheme the
+twist data predicts: one saturation by a linear form of the degeneracy locus
+when that locus is linear (_top_part), else the double quotient of
+ideals.top_dimensional_part.  verify_construction compares the resolution's
+Betti table with the one the twist data predicts; both are chern.BettiTable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .chern import ChernReport, ExpectedShape, TwistSpec, chern_coefficients, expected_resolution
+from .chern import BettiTable, ChernReport, TwistSpec, chern_coefficients, expected_resolution
 from .hilbert import HilbertReport
-from .ideals import (
-    ConstructionError,
-    Ideal,
-    affine_dimension,
-    linear_saturation,
-    top_dimensional_part,
-)
+from .ideals import ConstructionError, Ideal, linear_saturation, top_dimensional_part
 from .poly import FreeModuleElement, Polynomial, PolyRing
 from .protocol import note, recording
 from .resolution import (
-    BettiTable,
     GorensteinCertificate,
     GradedMatrix,
     free_resolution,
@@ -224,7 +219,7 @@ def check_expected_codim(M: GradedMatrix, t: int, r: int) -> bool:
         I = minors_ideal(M, t)
     if I.is_zero():
         return False
-    codim = M.ring.nvars - affine_dimension(I)
+    codim = I.codimension()
     note(f"maximal minors cut codimension {codim} (expected {r + 1})")
     return codim == r + 1
 
@@ -233,26 +228,31 @@ def check_expected_codim(M: GradedMatrix, t: int, r: int) -> bool:
 class SectionResult:
     """A random section: the combined module element, its module twist, the
     drawn coefficient forms, the ideal of its entries (the transpose of the
-    vector), and, once checked, the regularity flag."""
+    vector), and whether the section is regular: its entries cut the
+    codimension of the kernel's rank."""
 
     vector: FreeModuleElement
     degree: int
     coefficients: tuple[Polynomial, ...]
     ideal: Ideal
-    regular: Optional[bool] = None
+    regular: bool
 
 
 _DRAWS = 64
 
 
-def combine_columns(M: GradedMatrix, degree: int, rng: Rng) -> SectionResult:
+def combine_columns(M: GradedMatrix, degree: int, rng: Rng, r: int) -> SectionResult:
     """Random combination of the columns of M with sparse coefficient forms
     at the given uniform module twist; columns too large to contribute get
     zero coefficients (a sparse form of negative degree is zero and draws
     nothing), and when every column is too large the request is refused
     before any draw.  An all-zero draw is retried, up to _DRAWS draws in
     all: a sparse form of degree 0 is zero with probability 1/2, so a cap of
-    five draws gave up about once in 32 runs."""
+    five draws gave up about once in 32 runs.
+
+    The section of a rank-r kernel is regular when its entries cut
+    codimension exactly r; an empty locus (the unit ideal, of codimension
+    nvars + 1) therefore reads as not regular."""
     if M.cols == 0:
         raise ConstructionError("no columns to combine")
     if min(M.col_twists) > degree:
@@ -265,11 +265,13 @@ def combine_columns(M: GradedMatrix, degree: int, rng: Rng) -> SectionResult:
         vec = M.apply_to(coeffs)
         if not vec.is_zero():
             note(f"section of degree {degree} on attempt {attempt + 1}")
+            ideal = Ideal(ring, vec.entries)
             return SectionResult(
                 vector=vec,
                 degree=degree,
                 coefficients=tuple(coeffs),
-                ideal=Ideal(ring, vec.entries),
+                ideal=ideal,
+                regular=ideal.codimension() == r,
             )
     raise ConstructionError(f"sections of degree {degree} all vanished after {_DRAWS} draws")
 
@@ -280,19 +282,17 @@ def section(M: GradedMatrix, d: int, rng: Rng) -> SectionResult:
 
     Computes the first syzygies B of M, combines their columns with sparse
     random coefficient forms into a homogeneous element, and returns it with
-    the ideal of its entries.  The regular flag records whether the
-    vanishing locus has the dimension expected of a regular section, namely
-    affine dimension nvars - (cols - rows); an empty locus therefore reads
-    as not regular.
+    the ideal of its entries; the kernel has rank cols - rows, so the
+    section is regular when its locus has codimension cols - rows.
     """
     B = syzygy_matrix(M)
     if B.cols == 0:
         raise ConstructionError("the matrix has no kernel to section")
-    result = combine_columns(B, d + min(B.col_twists), rng)
     r = M.cols - M.rows
-    dim = affine_dimension(result.ideal)
+    result = combine_columns(B, d + min(B.col_twists), rng, r)
+    dim = result.ideal.hilbert().affine_dimension
     note(f"vanishing locus has affine dimension {dim} (regular means {M.ring.nvars - r})")
-    return replace(result, regular=dim == M.ring.nvars - r)
+    return result
 
 
 @dataclass(frozen=True)
@@ -375,20 +375,20 @@ def kernel_section_run(
         # several draws at the same degree before conceding it is too small:
         # escalating changes every predicted invariant, a redraw does not
         for _ in range(4):
-            sec = combine_columns(B, D + escalation, rng)
-            dim = affine_dimension(sec.ideal)
-            if dim == nvars - spec.r:
+            sec = combine_columns(B, D + escalation, rng, spec.r)
+            if sec.regular:
                 if escalation:
                     note(f"section degree escalated {escalation} time(s)")
                 return KernelSectionRun(
                     spec=spec,
                     matrix=M,
                     kernel=B,
-                    section=replace(sec, regular=True),
+                    section=sec,
                     section_degree=sec.degree,
                     escalations=escalation,
                     gorenstein=_top_part(M, spec, sec.ideal, rng),
                 )
+            dim = sec.ideal.hilbert().affine_dimension
             last_error = (
                 f"vanishing locus has affine dimension {dim},"
                 f" expected {nvars - spec.r}"
@@ -402,7 +402,7 @@ class ConstructionReport:
     """Predicted against computed invariants of a constructed ideal."""
 
     chern: ChernReport
-    shape: ExpectedShape
+    shape: BettiTable
     hilbert: HilbertReport
     betti: BettiTable
     regularity: int
@@ -453,6 +453,6 @@ def verify_construction(I: Ideal, twists: TwistSpec) -> ConstructionReport:
         regularity=regularity(res),
         certificate=cert,
         degree_matches=(rep.degree == chern.expected_degree),
-        betti_matches=(betti.as_dict() == shape.as_betti_dict()),
+        betti_matches=(betti == shape),
         betti_embeds=(shape.ghost_difference(betti.as_dict()) is not None),
     )

@@ -153,10 +153,6 @@ class HilbertReport:
     def projective_dimension(self) -> int:
         return self.affine_dimension - 1
 
-    @property
-    def h_vector(self) -> tuple[int, ...]:
-        return self.second_series
-
     def as_dict(self) -> dict:
         d = {
             "characteristic": self.characteristic,

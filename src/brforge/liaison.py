@@ -11,10 +11,10 @@ and section the kernel of V's minimal generator row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .chern import ExpectedShape, GenBRSpec, expected_resolution_aci
+from .chern import BettiTable, GenBRSpec, expected_resolution_aci
 from .engine import ModuleGB, minimal_generating_subset, tracked_intersection, vec_degree
 from .hilbert import HilbertReport
 from .ideals import (
@@ -28,7 +28,6 @@ from .ideals import (
     top_dimensional_part,
 )
 from .resolution import (
-    BettiTable,
     GorensteinCertificate,
     GradedMatrix,
     free_resolution,
@@ -102,12 +101,11 @@ def common_section(phi: GradedMatrix, IV: Ideal, d: int, rng: Rng) -> SectionRes
     if D.cols == 0:
         raise ConstructionError("kernel meets the subscheme module only in zero")
     note(f"common sections exist from degree {min(D.col_twists)}")
-    sec = combine_columns(D, min(D.col_twists) + d, rng)
+    sec = combine_columns(D, min(D.col_twists) + d, rng, phi.cols - phi.rows)
     for e in sec.vector.entries:
         if not IV.contains(e):
             raise InvariantError("section entry escaped the subscheme ideal")
-    r = phi.cols - phi.rows
-    return replace(sec, regular=sec.ideal.codimension() == r)
+    return sec
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ class GenBRRun:
     report: HilbertReport
     betti: BettiTable
     spec: GenBRSpec
-    shape: ExpectedShape
+    shape: BettiTable
     ghost_cancellations: Optional[dict]
 
     @property
@@ -223,9 +221,9 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
     )
     sec: Optional[SectionResult] = None
     for _ in range(5):
-        cand = combine_columns(B, d, rng)
-        if cand.ideal.codimension() == 3:
-            sec = replace(cand, regular=True)
+        cand = combine_columns(B, d, rng, 3)
+        if cand.regular:
+            sec = cand
             break
         note("section not regular, redrawing")
     if sec is None:

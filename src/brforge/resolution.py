@@ -7,7 +7,8 @@ column, and the pass of each later stage, in the Schreyer order the stage
 before induced, prunes the raw relations of the stage before to a minimal
 generating set.  The resolution of a minimally generated ideal therefore
 comes out minimal, and minimize() covers the general case by resolving a
-minimal generating subset of the generators.
+minimal generating subset of the generators.  A resolution's Betti table
+is a chern.BettiTable, the type the predicted shapes come in too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .chern import BettiTable
 from .engine import Vec, minimal_generating_subset, stage_passes, tracked_syzygies, vec_degree
 from .ideals import Ideal, InvariantError, poly_to_vec, vec_to_poly
 from .poly import FreeModuleElement, Polynomial, PolyRing
@@ -24,7 +26,6 @@ from .ring import key_component
 __all__ = [
     "GradedMatrix",
     "Resolution",
-    "BettiTable",
     "syzygy_matrix",
     "free_resolution",
     "regularity",
@@ -126,36 +127,6 @@ class GradedMatrix:
         return f"GradedMatrix({self.rows}x{self.cols} over {self.ring!r})"
 
 
-@dataclass(frozen=True, eq=True)
-class BettiTable:
-    """Graded Betti numbers as {(homological step, generator degree): rank};
-    step 0 holds the ideal's generators."""
-
-    data: tuple[tuple[tuple[int, int], int], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[tuple[int, int], int]) -> "BettiTable":
-        items = tuple(sorted((k, v) for k, v in d.items() if v))
-        return cls(items)
-
-    @classmethod
-    def from_twists(cls, twist_lists: Sequence[Sequence[int]]) -> "BettiTable":
-        acc: dict[tuple[int, int], int] = {}
-        for step, twists in enumerate(twist_lists):
-            for d in twists:
-                acc[(step, d)] = acc.get((step, d), 0) + 1
-        return cls.from_dict(acc)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.data)
-
-    def lines(self) -> list[str]:
-        return [f"{step} {deg} {rank}" for (step, deg), rank in self.data]
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
-
-
 class Resolution:
     """Chain of graded matrices resolving an ideal.
 
@@ -194,18 +165,11 @@ class Resolution:
                         return False
         return True
 
-    def step_description(self, k: int) -> str:
-        counts: dict[int, int] = {}
-        for d in self.twists[k]:
-            counts[d] = counts.get(d, 0) + 1
-        parts = []
-        for d in sorted(counts):
-            r = counts[d]
-            parts.append(f"R(-{d})" if r == 1 else f"{r}R(-{d})")
-        return " + ".join(parts) if parts else "0"
-
     def describe(self) -> str:
-        chain = " <- ".join(self.step_description(k) for k in range(len(self.twists)))
+        steps: list[list[str]] = [[] for _ in self.twists]
+        for (k, d), r in self.betti().data:
+            steps[k].append(f"R(-{d})" if r == 1 else f"{r}R(-{d})")
+        chain = " <- ".join(" + ".join(parts) or "0" for parts in steps)
         return f"R <- {chain} <- 0"
 
     def minimize(self) -> "Resolution":

@@ -8,11 +8,12 @@ rather than tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, combinations_with_replacement
+from typing import Optional, Sequence
 
-from brforge.chern import ExpectedShape
+from brforge.chern import BettiTable, GenBRSpec, TwistSpec
 from brforge.engine import InvariantError, ModuleGB, minimal_generating_subset, vec_degree
 from brforge.ideals import (
     Ideal,
@@ -319,25 +320,153 @@ def compose(A: GradedMatrix, B: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(ring, grid, A.row_twists, B.col_twists)
 
 
-def step_dicts(shape: ExpectedShape) -> list[dict[int, int]]:
-    """The ranks of a shape per step, as {generator degree: rank}."""
-    return [dict(s) for s in shape.steps]
+def shape_of(dicts: Sequence[dict[int, int]]) -> BettiTable:
+    """The table with rank dicts[k][degree] at (k, degree)."""
+    return BettiTable.from_dict({(k, d): r for k, s in enumerate(dicts) for d, r in s.items()})
 
 
-def total_rank(shape: ExpectedShape) -> int:
-    """The sum of the ranks over every step of a shape."""
-    return sum(r for s in shape.steps for _, r in s)
+def step_dicts(table: BettiTable) -> list[dict[int, int]]:
+    """The ranks of a table per step, as {generator degree: rank}, through
+    its last nonzero step."""
+    dicts: list[dict[int, int]] = []
+    for (k, d), r in table.data:
+        while len(dicts) <= k:
+            dicts.append({})
+        dicts[k][d] = r
+    return dicts
 
 
-def cancel_adjacent(shape: ExpectedShape, step: int, degree: int, count: int = 1) -> ExpectedShape:
-    """The shape with `count` ghost summands of the given degree removed from
+def total_rank(table: BettiTable) -> int:
+    """The sum of the ranks over every step of a table."""
+    return sum(r for _, r in table.data)
+
+
+def cancel_adjacent(table: BettiTable, step: int, degree: int, count: int = 1) -> BettiTable:
+    """The table with `count` ghost summands of the given degree removed from
     this step and the next one (a cancelling adjacent pair)."""
-    dicts = step_dicts(shape)
+    dicts = step_dicts(table)
     for k in (step, step + 1):
         if k >= len(dicts) or dicts[k].get(degree, 0) < count:
             raise ValueError(f"no rank to cancel at step {k}, degree {degree}")
         dicts[k][degree] -= count
-    return ExpectedShape.from_dicts(dicts)
+    return shape_of(dicts)
+
+
+# ---------------------------------------------------------------- reference shapes
+#
+# The predicted shapes as a tuple of steps, each a list of (degree, rank),
+# built from per-step {degree: count} dicts: the representation chern.BettiTable
+# replaced, kept as the reference its builders and ghost_difference are
+# compared against.
+
+
+@dataclass(frozen=True)
+class ReferenceShape:
+    steps: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def from_dicts(cls, dicts: Sequence[dict[int, int]]) -> "ReferenceShape":
+        return cls(tuple(tuple(sorted((d, r) for d, r in s.items() if r)) for s in dicts))
+
+    def as_betti_dict(self) -> dict[tuple[int, int], int]:
+        return {(k, d): r for k, s in enumerate(self.steps) for d, r in s}
+
+    def ghost_difference(
+        self, observed: dict[tuple[int, int], int]
+    ) -> Optional[dict[tuple[int, int], int]]:
+        """The ghost pairs cancelled between adjacent steps, over
+        len(steps) steps at least."""
+        shape = self.as_betti_dict()
+        degrees = {d for (_, d) in shape} | {d for (_, d) in observed}
+        nsteps = max(len(self.steps), 1 + max((k for (k, _) in observed), default=0))
+        if any(rank < 0 for rank in observed.values()):
+            return None
+        cancels: dict[tuple[int, int], int] = {}
+        for d in sorted(degrees):
+            carry = 0
+            for k in range(nsteps):
+                c = shape.get((k, d), 0) - observed.get((k, d), 0) - carry
+                if c < 0:
+                    return None
+                if c:
+                    cancels[(k, d)] = c
+                carry = c
+            if carry != 0:
+                return None
+        return cancels
+
+    def lines(self) -> list[str]:
+        return [f"{k} {d} {r}" for k, s in enumerate(self.steps) for d, r in s]
+
+
+def _count(acc: dict[int, int], d: int) -> None:
+    acc[d] = acc.get(d, 0) + 1
+
+
+def reference_resolution_r3(a: Sequence[int], b: Sequence[int]) -> ReferenceShape:
+    c1 = sum(a) - sum(b)
+    step0: dict[int, int] = {}
+    step1: dict[int, int] = {}
+    for ai in a:
+        _count(step0, ai)
+        _count(step1, c1 - ai)
+    for bj in b:
+        _count(step0, c1 - bj)
+        _count(step1, bj)
+    return ReferenceShape.from_dicts([step0, step1, {c1: 1}])
+
+
+def reference_resolution(spec: TwistSpec) -> ReferenceShape:
+    a, b, aux = spec.a, spec.b, spec.p
+    q, r, c1 = len(aux), spec.r, spec.c1
+    steps: list[dict[int, int]] = []
+    for k in range(1, r + 1):
+        acc: dict[int, int] = {}
+        for i in range(0, k + q):
+            rem = k + q - 1 - i
+            if rem < 0 or rem % 2:
+                continue
+            j = rem // 2
+            s = i + j
+            if not (q <= s and 2 * s <= r + q - 1):
+                continue
+            for ca in combinations(a, i):
+                for cb in combinations_with_replacement(b, j):
+                    for cu in combinations_with_replacement(aux, s - q):
+                        _count(acc, sum(ca) + sum(cb) - sum(cu))
+        for i in range(0, r + 2 - q - k + 1):
+            rem = r + 1 - q - k - i
+            if rem < 0 or rem % 2:
+                continue
+            j = rem // 2
+            s = i + j
+            if not (2 * s <= r - q):
+                continue
+            for ca in combinations(a, i):
+                for cb in combinations_with_replacement(b, j):
+                    for cu in combinations_with_replacement(aux, r - q - s):
+                        _count(acc, c1 - sum(ca) - sum(cb) - sum(cu))
+        steps.append(acc)
+    return ReferenceShape.from_dicts(steps)
+
+
+def reference_resolution_aci(spec: GenBRSpec) -> ReferenceShape:
+    b, d = spec.b, spec.d
+    step0: dict[int, int] = {}
+    for di in spec.ci_degrees:
+        _count(step0, d - di)
+    _count(step0, b - d)
+    step1: dict[int, int] = {}
+    for di in spec.ci_degrees:
+        _count(step1, b - di)
+    _count(step1, d)
+    for e in spec.e2:
+        _count(step1, b - e)
+    step2: dict[int, int] = {}
+    _count(step2, b + d - spec.alpha)
+    for e in spec.e1:
+        _count(step2, b - e)
+    return ReferenceShape.from_dicts([step0, step1, step2])
 
 
 # ---------------------------------------------------------------- evaluation

@@ -3,8 +3,8 @@
 import pytest
 
 from brforge.chern import (
+    BettiTable,
     ChernReport,
-    ExpectedShape,
     GenBRSpec,
     TwistSpec,
     chern_coefficients,
@@ -106,12 +106,12 @@ class TestDegreeFormulaR3:
 
 class TestExpectedShape:
     def shape(self):
-        return ExpectedShape.from_dicts([{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}])
+        return oracles.shape_of([{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}])
 
     def test_round_trips(self):
         s = self.shape()
         assert oracles.step_dicts(s) == [{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}]
-        assert s.as_betti_dict() == {
+        assert s.as_dict() == {
             (0, 2): 1,
             (0, 3): 3,
             (1, 5): 8,
@@ -123,7 +123,7 @@ class TestExpectedShape:
         assert s.lines() == ["0 2 1", "0 3 3", "1 5 8", "1 6 1", "2 5 1", "2 6 5"]
 
     def test_zero_ranks_dropped(self):
-        s = ExpectedShape.from_dicts([{2: 1, 4: 0}])
+        s = oracles.shape_of([{2: 1, 4: 0}])
         assert oracles.step_dicts(s) == [{2: 1}]
 
     def test_cancel_adjacent(self):
@@ -138,7 +138,7 @@ class TestExpectedShape:
 
     def test_ghost_difference_exact_match(self):
         s = self.shape()
-        assert s.ghost_difference(s.as_betti_dict()) == {}
+        assert s.ghost_difference(s.as_dict()) == {}
 
     def test_ghost_difference_two_pairs(self):
         s = self.shape()
@@ -146,17 +146,17 @@ class TestExpectedShape:
         assert s.ghost_difference(observed) == {(1, 5): 1, (1, 6): 1}
 
     def test_ghost_difference_extra_generator(self):
-        s = ExpectedShape.from_dicts([{1: 1}])
+        s = oracles.shape_of([{1: 1}])
         assert s.ghost_difference({(0, 2): 1}) is None
 
     def test_ghost_difference_unmatched_deficit(self):
-        s = ExpectedShape.from_dicts([{1: 2}, {2: 1}])
+        s = oracles.shape_of([{1: 2}, {2: 1}])
         assert s.ghost_difference({(0, 1): 1, (1, 2): 1}) is None
 
     def test_ghost_difference_inverts_cancel(self):
         s = self.shape()
         cancelled = oracles.cancel_adjacent(oracles.cancel_adjacent(s, 1, 5), 1, 6)
-        assert s.ghost_difference(cancelled.as_betti_dict()) == {(1, 5): 1, (1, 6): 1}
+        assert s.ghost_difference(cancelled.as_dict()) == {(1, 5): 1, (1, 6): 1}
 
 
 class TestExpectedResolution:
@@ -169,7 +169,7 @@ class TestExpectedResolution:
             b = tuple(sorted(b_lo + rng.below(4) for _ in range(t)))
             closed = expected_resolution_r3(a, b)
             general = expected_resolution(TwistSpec(a=a, b=b, n=6))
-            assert closed.as_betti_dict() == general.as_betti_dict()
+            assert closed.as_dict() == general.as_dict()
 
     def test_rank3_needs_three_more_sources(self):
         with pytest.raises(ValueError):
@@ -177,7 +177,7 @@ class TestExpectedResolution:
 
     def test_rank5_shape(self):
         shape = expected_resolution(TwistSpec(a=(2,) * 6, b=(3,), n=6))
-        assert shape.as_betti_dict() == {
+        assert shape.as_dict() == {
             (0, 2): 6,
             (0, 3): 1,
             (1, 3): 1,
@@ -192,7 +192,7 @@ class TestExpectedResolution:
     def test_rank3_quadratic_shape(self):
         # four quadric entries against a cubic target: five points in space
         shape = expected_resolution_r3((2, 2, 2, 2), (3,))
-        assert shape.as_betti_dict() == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
+        assert shape.as_dict() == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
 
     def test_top_twist_is_c1(self):
         spec = TwistSpec(a=(1, 2, 3, 4), b=(2,), n=6)
@@ -211,7 +211,7 @@ class TestExpectedResolution:
             spec = TwistSpec(a=a, b=b, n=9)
             shape = expected_resolution(spec)
             aug = {(0, 0): 1}
-            for (k, d), v in shape.as_betti_dict().items():
+            for (k, d), v in shape.as_dict().items():
                 aug[(k + 1, d)] = v
             dual = {(r - j, spec.c1 - d): v for (j, d), v in aug.items()}
             assert dual == aug
@@ -245,3 +245,101 @@ class TestGenBRSpec:
         assert sum(dicts[0].values()) == 4
         r0, r1, r2 = (sum(d.values()) for d in dicts)
         assert 1 - r0 + r1 - r2 == 0
+
+
+def _random_twist_spec(rng: Rng) -> TwistSpec:
+    t = 1 + rng.below(2)
+    r = 2 + rng.below(4)
+    a = tuple(1 + rng.below(5) for _ in range(t + r))
+    b = tuple(1 + rng.below(6) for _ in range(t))
+    p = tuple(rng.below(3) for _ in range(1 + rng.below(r - 1)))
+    return TwistSpec(a=a, b=b, n=r + rng.below(3), p=p)
+
+
+def _random_aci_spec(rng: Rng) -> GenBRSpec:
+    k = 1 + rng.below(5)
+    ci = tuple(2 + rng.below(3) for _ in range(3))
+    return GenBRSpec(
+        e1=tuple(1 + rng.below(4) for _ in range(k)),
+        e2=tuple(2 + rng.below(4) for _ in range(k)),
+        ci_degrees=ci,
+        ell=rng.below(5) - 2,
+        d=max(ci) + 1 + rng.below(3),
+    )
+
+
+def _perturbed(table: dict, rng: Rng) -> dict:
+    """The table with a few ranks moved by one, steps past its last one
+    included, so that some ranks go negative."""
+    out = dict(table)
+    keys = sorted(out) or [(0, 0)]
+    for _ in range(1 + rng.below(3)):
+        k, d = keys[rng.below(len(keys))]
+        key = (k + rng.below(3), d + rng.below(3) - 1)
+        out[key] = out.get(key, 0) + (1 if rng.bit() else -1)
+    return out
+
+
+class TestAgainstReferenceShapes:
+    """The builders and ghost_difference against the per-step dict shapes of
+    oracles, the representation BettiTable replaced."""
+
+    def test_expected_resolution(self):
+        rng = Rng(53)
+        auxiliary = set()
+        for _ in range(240):
+            spec = _random_twist_spec(rng)
+            auxiliary.add(len(spec.p))
+            got, ref = expected_resolution(spec), oracles.reference_resolution(spec)
+            assert got.as_dict() == ref.as_betti_dict(), spec
+            assert got.lines() == ref.lines(), spec
+        assert auxiliary == {1, 2, 3, 4}
+
+    def test_closed_forms(self):
+        rng = Rng(59)
+        for _ in range(100):
+            t = 1 + rng.below(3)
+            a = tuple(1 + rng.below(6) for _ in range(t + 3))
+            b = tuple(1 + rng.below(6) for _ in range(t))
+            got, ref = expected_resolution_r3(a, b), oracles.reference_resolution_r3(a, b)
+            assert (got.as_dict(), got.lines()) == (ref.as_betti_dict(), ref.lines())
+            spec = _random_aci_spec(rng)
+            got, ref = expected_resolution_aci(spec), oracles.reference_resolution_aci(spec)
+            assert (got.as_dict(), got.lines()) == (ref.as_betti_dict(), ref.lines())
+
+    def test_ghost_difference(self):
+        rng = Rng(61)
+        outcomes = set()
+
+        def check(shape: BettiTable, ref, observed: dict) -> None:
+            got = shape.ghost_difference(observed)
+            assert got == ref.ghost_difference(observed), (shape, observed)
+            outcomes.add("refused" if got is None else "cancelled" if got else "exact")
+
+        for _ in range(200):
+            spec = _random_twist_spec(rng)
+            shape, ref = expected_resolution(spec), oracles.reference_resolution(spec)
+            observed = shape
+            for _ in range(rng.below(4)):
+                pairs = [
+                    (k, d)
+                    for (k, d), v in observed.data
+                    if observed.as_dict().get((k + 1, d), 0)
+                ]
+                if pairs:
+                    observed = oracles.cancel_adjacent(observed, *pairs[rng.below(len(pairs))])
+            check(shape, ref, observed.as_dict())
+            check(shape, ref, _perturbed(observed.as_dict(), rng))
+        assert outcomes == {"refused", "cancelled", "exact"}
+
+    def test_ghost_difference_empty_trailing_steps(self):
+        rng = Rng(67)
+        for _ in range(100):
+            dicts = [
+                {2 + rng.below(4): 1 + rng.below(3) for _ in range(1 + rng.below(3))}
+                for _ in range(1 + rng.below(3))
+            ]
+            dicts += [{}] * (1 + rng.below(3))
+            shape, ref = oracles.shape_of(dicts), oracles.ReferenceShape.from_dicts(dicts)
+            for observed in (shape.as_dict(), _perturbed(shape.as_dict(), rng)):
+                assert shape.ghost_difference(observed) == ref.ghost_difference(observed)

@@ -20,11 +20,11 @@ from brforge.construct import (
 )
 from brforge.ideals import Ideal
 from brforge.io import read_ideal, read_matrix
-from brforge.resolution import GradedMatrix
+from brforge.resolution import GradedMatrix, syzygy_matrix
 from brforge.ring import Rng
 
 from conftest import fixture
-from oracles import det_scalar, evaluate, pfaffian_scalar
+from oracles import det_scalar, evaluate, pfaffian_scalar, scan_dimension
 
 
 def random_point(nvars, p, rng):
@@ -194,11 +194,21 @@ class TestSection:
 
     def test_degree_below_kernel_fails(self, ring3):
         M = read_matrix(fixture("koszul_p3.mat"))
-        from brforge.resolution import syzygy_matrix
-
         B = syzygy_matrix(M)
         with pytest.raises(ConstructionError):
-            combine_columns(B, min(B.col_twists) - 1, Rng(1))
+            combine_columns(B, min(B.col_twists) - 1, Rng(1), 3)
+
+    def test_combine_columns_decides_regularity(self):
+        # the kernel of the linear row z1..z4 has rank 3; at module twist 2 a
+        # section is a skew 4x4 constant matrix times the row, of even rank,
+        # so its entries cut codimension 2 or 4 and it is never regular
+        M = read_matrix(fixture("linear_row_p5.mat"))
+        B = syzygy_matrix(M)
+        r = M.cols - M.rows
+        for twist, regular in ((2, False), (3, True)):
+            sec = combine_columns(B, twist, Rng(1), r)
+            assert sec.regular is regular
+            assert (M.ring.nvars - scan_dimension(sec.ideal) == r) is regular
 
     def test_no_kernel(self, ring3):
         M = GradedMatrix(ring3, [[ring3.variables()[0]]], (0,), (1,))
@@ -224,7 +234,7 @@ class TestKernelSectionRun:
         shape = expected_resolution_r3(
             spec.twist_data().a, spec.twist_data().b
         )
-        assert shape.as_betti_dict() == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
+        assert shape.as_dict() == {(0, 2): 5, (1, 3): 5, (2, 5): 1}
 
     def test_deterministic_per_seed(self, ring3):
         spec = ConstructionSpec(1, 3, 1, 2, 3, seed=11)

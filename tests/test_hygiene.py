@@ -14,6 +14,10 @@ takes a `log` callback, and only the command line module prints.
 No module imports an underscore name from another brforge module: what
 one module keeps private, another does not reach into.
 
+chern, the integer layer of predictions and Betti tables, imports no
+brforge module, so it stays a leaf of the import graph that resolution and
+the constructions import from.
+
 No module holds an assert statement: `python -O` strips them, so a broken
 invariant raises InvariantError instead.
 
@@ -211,6 +215,43 @@ def test_scan_flags_private_imports():
         "from typing import _Final\n"
     )
     assert private_imports(source) == ["_stage_pass (line 1)", "_keys (line 2)", "_helpers (line 3)"]
+
+
+def package_imports(source: str) -> list[str]:
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "brforge"
+        ):
+            faults.append(f"{'.' * node.level}{node.module or ''} (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            faults.extend(
+                f"{a.name} (line {node.lineno})"
+                for a in node.names
+                if a.name.split(".")[0] == "brforge"
+            )
+    return faults
+
+
+def test_chern_imports_no_package_module():
+    assert package_imports((SRC / "chern.py").read_text()) == []
+
+
+def test_scan_flags_package_imports():
+    source = (
+        "from .engine import Vec\n"
+        "import brforge.ring, os\n"
+        "from brforge import poly\n"
+        "from . import io\n"
+        "from itertools import combinations\n"
+        "from __future__ import annotations\n"
+    )
+    assert package_imports(source) == [
+        ".engine (line 1)",
+        "brforge.ring (line 2)",
+        "brforge (line 3)",
+        ". (line 4)",
+    ]
 
 
 def exponent_decoders(source: str) -> list[str]:

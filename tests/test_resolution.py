@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from brforge import engine
+from brforge.chern import BettiTable
 from brforge.engine import ModuleGB, vec_degree
 from brforge.hilbert import hilbert_numerator
 from brforge.ideals import Ideal, InvariantError
@@ -12,7 +13,6 @@ from brforge.io import read_ideal
 from brforge.poly import PolyRing
 from brforge.protocol import recording
 from brforge.resolution import (
-    BettiTable,
     GradedMatrix,
     Resolution,
     free_resolution,
