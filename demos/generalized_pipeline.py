@@ -41,5 +41,5 @@ for line in run.shape.lines():
     print(f"  {line}")
 print(f"ghost pairs removed: {run.ghost_cancellations}")
 print(f"shape matches after cancellation: {run.shape_matches}")
-print(f"generator degrees {run.aci_type}: codim 3 with 4 generators,"
+print(f"generator degrees {run.spec.aci_type}: codim 3 with 4 generators,"
       f" an almost complete intersection")

@@ -300,6 +300,11 @@ class GenBRSpec:
     def b(self) -> int:
         return 2 * self.d - self.alpha - self.ell + self.n + 1
 
+    @property
+    def aci_type(self) -> tuple[int, ...]:
+        """Generator degrees of the almost complete intersection, sorted."""
+        return tuple(sorted([self.d - dk for dk in self.ci_degrees] + [self.b - self.d]))
+
 
 def expected_resolution_aci(spec: GenBRSpec) -> BettiTable:
     """Expected (possibly non-minimal) resolution shape of the section's
@@ -311,7 +316,7 @@ def expected_resolution_aci(spec: GenBRSpec) -> BettiTable:
     d = spec.d
     return BettiTable.from_twists(
         [
-            [*(d - di for di in spec.ci_degrees), b - d],
+            spec.aci_type,
             [*(b - di for di in spec.ci_degrees), d, *(b - e for e in spec.e2)],
             [b + d - spec.alpha, *(b - e for e in spec.e1)],
         ]

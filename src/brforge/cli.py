@@ -4,8 +4,12 @@ Every subcommand prints an optional protocol of '//'-prefixed progress
 lines (--protocol), then any session-style text blocks, and always ends
 with a single-line JSON summary on stdout.  Randomized subcommands require
 --seed and reproduce byte-identical output for identical flags and seed.
-Intermediate objects can be persisted with --out DIR in the plain-text
-formats of the io module.
+
+A subcommand only computes: it returns its exit code, its summary and the
+objects it names for --out DIR.  One emitter, _finish, adds the command
+and seed to the summary, writes the named objects in the plain-text
+formats of the io module and summary.json under DIR, and prints the JSON
+line.
 
 Exit codes: 0 on success, 2 on mathematical failure (codimension or
 regularity checks that a new seed may fix), 1 on usage errors, 3 when an
@@ -20,7 +24,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .chern import (
     GenBRSpec,
@@ -49,6 +52,10 @@ from .ring import Rng
 __all__ = ["main"]
 
 DEFAULT_CHAR = 32003
+
+# what a subcommand returns: its exit code, its summary without command and
+# seed, and the objects --out writes, by file name
+Result = tuple[int, dict, dict]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,21 +86,24 @@ def _print_note(msg: str) -> None:
     print(f"// {msg}")
 
 
-def _out_dir(args) -> Optional[Path]:
-    out = getattr(args, "out", None)
-    if out is None:
-        return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _seeded(args) -> Rng:
+    # printed after the input is parsed, so a refused input prints nothing
+    print(f"// seed = {args.seed}")
+    return Rng(args.seed)
 
 
-def _emit(summary: dict, out: Optional[Path]) -> None:
+def _finish(args, out: Path | None, code: int, summary: dict, files: dict) -> int:
+    """Emit one command's result: write its named objects and summary.json
+    under --out, print the JSON line, and return the exit code."""
+    summary = dict(summary, command=args.command)
+    if "seed" in args:
+        summary["seed"] = args.seed
     if out is not None:
-        (out / "summary.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n"
-        )
+        for name, obj in files.items():
+            (write_ideal if isinstance(obj, Ideal) else write_matrix)(out / name, obj)
+        (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(json.dumps(summary, sort_keys=True))
+    return code
 
 
 def _degree_counts(degrees) -> list[list[int]]:
@@ -123,8 +133,7 @@ def _gens_strings(I: Ideal) -> list[str]:
 # ---------------------------------------------------------------- br
 
 
-def _cmd_br(args) -> int:
-    out = _out_dir(args)
+def _cmd_br(args) -> Result:
     matrix = None
     if args.matrix is not None:
         matrix = read_matrix(args.matrix)
@@ -163,16 +172,12 @@ def _cmd_br(args) -> int:
         characteristic=char,
         seed=args.seed,
     )
-    print(f"// seed = {args.seed}")
-    rng = Rng(args.seed)
-    run = kernel_section_run(ring, spec, rng, matrix=matrix)
+    run = kernel_section_run(ring, spec, _seeded(args), matrix=matrix)
     rep = run.gorenstein.hilbert()
     twists = run.twist_data()
     chern = chern_coefficients(twists)
     _print_hilbert_blocks(rep)
     summary = {
-        "command": "br",
-        "seed": args.seed,
         "characteristic": char,
         "n": n,
         "t": t,
@@ -193,27 +198,21 @@ def _cmd_br(args) -> int:
     if args.verify:
         report = verify_construction(run.gorenstein, twists)
         summary["verification"] = report.as_dict()
-    if out is not None:
-        write_matrix(out / "matrix.mat", run.matrix)
-        write_matrix(out / "kernel.mat", run.kernel)
-        write_ideal(out / "section.id", run.section.ideal)
-        write_ideal(out / "top.id", run.gorenstein)
-    _emit(summary, out)
-    return 0
+    return 0, summary, {
+        "matrix.mat": run.matrix,
+        "kernel.mat": run.kernel,
+        "section.id": run.section.ideal,
+        "top.id": run.gorenstein,
+    }
 
 
 # ---------------------------------------------------------------- section
 
 
-def _cmd_section(args) -> int:
-    out = _out_dir(args)
+def _cmd_section(args) -> Result:
     M = read_matrix(args.matrix)
-    print(f"// seed = {args.seed}")
-    rng = Rng(args.seed)
-    sec = section(M, args.deg, rng)
+    sec = section(M, args.deg, _seeded(args))
     summary = {
-        "command": "section",
-        "seed": args.seed,
         "characteristic": M.ring.p,
         "n": M.ring.n,
         "degree": sec.degree,
@@ -221,113 +220,85 @@ def _cmd_section(args) -> int:
         "entry_degrees": _degree_counts(e.degree() for e in sec.vector.entries if not e.is_zero()),
         "generators": _gens_strings(sec.ideal),
     }
-    if out is not None:
-        write_ideal(out / "section.id", sec.ideal)
-    _emit(summary, out)
-    return 0 if sec.regular else 2
+    return (0 if sec.regular else 2), summary, {"section.id": sec.ideal}
 
 
 # ---------------------------------------------------------------- top
 
 
-def _cmd_top(args) -> int:
-    out = _out_dir(args)
+def _cmd_top(args) -> Result:
     I = read_ideal(args.ideal)
-    print(f"// seed = {args.seed}")
-    rng = Rng(args.seed)
+    rng = _seeded(args)
     codim = args.codim if args.codim is not None else I.codimension()
     note(f"isolating the top-dimensional part in codimension {codim}")
     top = top_dimensional_part(I, codim, rng)
     rep = top.hilbert()
     _print_hilbert_blocks(rep)
     summary = {
-        "command": "top",
-        "seed": args.seed,
         "codimension": codim,
         "degree": rep.degree,
         "h_vector": list(rep.second_series),
         "generator_degrees": _degree_counts(g.degree() for g in top.gens),
         "generators": _gens_strings(top),
     }
-    if out is not None:
-        write_ideal(out / "top.id", top)
-    _emit(summary, out)
-    return 0
+    return 0, summary, {"top.id": top}
 
 
 # ---------------------------------------------------------------- hilb
 
 
-def _cmd_hilb(args) -> int:
-    out = _out_dir(args)
-    I = read_ideal(args.ideal)
-    rep = I.hilbert()
+def _cmd_hilb(args) -> Result:
+    rep = read_ideal(args.ideal).hilbert()
     _print_hilbert_blocks(rep)
-    summary = dict(rep.as_dict(), command="hilb")
-    _emit(summary, out)
-    return 0
+    return 0, rep.as_dict(), {}
 
 
 # ---------------------------------------------------------------- res
 
 
-def _cmd_res(args) -> int:
-    out = _out_dir(args)
+def _cmd_res(args) -> Result:
     I = read_ideal(args.ideal)
     res = free_resolution(I, minimize=args.minimal)
-    print(f"// {res.describe()}")
-    for line in res.betti().lines():
+    description, betti, minimal = res.describe(), res.betti().lines(), res.is_minimal()
+    print(f"// {description}")
+    for line in betti:
         print(f"// {line}")
     summary = {
-        "command": "res",
-        "minimal": res.is_minimal(),
+        "minimal": minimal,
         "length": res.length,
-        "betti": res.betti().lines(),
-        "description": res.describe(),
+        "betti": betti,
+        "description": description,
     }
-    if res.is_minimal():
+    if minimal:
         summary["regularity"] = regularity(res)
         if I.hilbert().affine_dimension >= 0:  # the unit ideal has no certificate
             cert = gorenstein_certificate(I, resolution=res)
             summary["gorenstein"] = cert.as_dict()
-    _emit(summary, out)
-    return 0
+    return 0, summary, {}
 
 
 # ---------------------------------------------------------------- minors / pfaffians
 
 
-def _cmd_minors(args) -> int:
-    out = _out_dir(args)
-    M = read_matrix(args.matrix)
-    I = minors_ideal(M, args.size)
+def _cmd_minors(args) -> Result:
+    I = minors_ideal(read_matrix(args.matrix), args.size)
     summary = {
-        "command": "minors",
         "size": args.size,
         "count": len(I.gens),
         "generator_degrees": _degree_counts(g.degree() for g in I.gens),
         "generators": _gens_strings(I),
     }
-    if out is not None:
-        write_ideal(out / "minors.id", I)
-    _emit(summary, out)
-    return 0
+    return 0, summary, {"minors.id": I}
 
 
-def _cmd_pfaffians(args) -> int:
-    out = _out_dir(args)
-    M = read_matrix(args.matrix)
-    I = pfaffian_ideal(M)
+def _cmd_pfaffians(args) -> Result:
+    I = pfaffian_ideal(read_matrix(args.matrix))
     summary = {
-        "command": "pfaffians",
         "count": len(I.gens),
         "generator_degrees": _degree_counts(g.degree() for g in I.gens),
         "generators": _gens_strings(I),
     }
-    if out is not None:
-        write_ideal(out / "pfaffians.id", I)
-    _emit(summary, out)
-    return 0
+    return 0, summary, {"pfaffians.id": I}
 
 
 # ---------------------------------------------------------------- predict
@@ -384,8 +355,7 @@ def _require(cfg: dict, *keys: str) -> None:
         raise ValueError(f"config is missing {', '.join(missing)}")
 
 
-def _cmd_predict(args) -> int:
-    out = _out_dir(args)
+def _cmd_predict(args) -> Result:
     cfg = _parse_predict_config(Path(args.spec).read_text())
     if "a" in cfg and "b" in cfg:
         _require(cfg, "n")
@@ -400,11 +370,7 @@ def _cmd_predict(args) -> int:
         print(f"// c = {' '.join(str(c) for c in chern.coefficients)}")
         print(f"// c1 = {chern.c1}")
         print(f"// expected degree = c_{chern.r} = {chern.expected_degree}")
-        print("// expected resolution (step degree rank):")
-        for line in shape.lines():
-            print(f"// {line}")
         summary = {
-            "command": "predict",
             "kind": "kernel",
             "a": list(spec.a),
             "b": list(spec.b),
@@ -414,7 +380,6 @@ def _cmd_predict(args) -> int:
             "coefficients": list(chern.coefficients),
             "c1": chern.c1,
             "expected_degree": chern.expected_degree,
-            "shape": shape.lines(),
         }
     elif "e1" in cfg and "e2" in cfg:
         _require(cfg, "ci", "l", "d")
@@ -428,11 +393,7 @@ def _cmd_predict(args) -> int:
         )
         shape = expected_resolution_aci(spec)
         print(f"// b = {spec.b}")
-        print("// expected resolution (step degree rank):")
-        for line in shape.lines():
-            print(f"// {line}")
         summary = {
-            "command": "predict",
             "kind": "aci",
             "e1": list(spec.e1),
             "e2": list(spec.e2),
@@ -442,30 +403,27 @@ def _cmd_predict(args) -> int:
             "n": spec.n,
             "alpha": spec.alpha,
             "b": spec.b,
-            "shape": shape.lines(),
         }
     else:
         raise ValueError("config needs either a/b/n twists or e1/e2/ci/l/d data")
-    _emit(summary, out)
-    return 0
+    summary["shape"] = shape.lines()
+    print("// expected resolution (step degree rank):")
+    for line in summary["shape"]:
+        print(f"// {line}")
+    return 0, summary, {}
 
 
 # ---------------------------------------------------------------- link
 
 
-def _cmd_link(args) -> int:
-    out = _out_dir(args)
+def _cmd_link(args) -> Result:
     phi = read_matrix(args.phi)
     IV = read_ideal(args.ideal, ring=phi.ring)
-    print(f"// seed = {args.seed}")
-    rng = Rng(args.seed)
-    rec = gorenstein_link(phi, IV, args.deg, rng)
+    rec = gorenstein_link(phi, IV, args.deg, _seeded(args))
     print(f"// h(section) = {list(rec.section_report.second_series)}")
     print(f"// h(X) = {list(rec.gorenstein_report.second_series)}")
     print(f"// residual generators: {len(rec.residual.gens)}")
     summary = {
-        "command": "link",
-        "seed": args.seed,
         "characteristic": phi.ring.p,
         "n": phi.ring.n,
         "degree_offset": args.deg,
@@ -481,37 +439,26 @@ def _cmd_link(args) -> int:
         "residual_generators": _gens_strings(rec.residual),
         "residual_h": list(rec.residual_report.second_series),
     }
-    if out is not None:
-        write_ideal(out / "section.id", rec.section_saturated)
-        write_ideal(out / "gorenstein.id", rec.gorenstein)
-        write_ideal(out / "residual.id", rec.residual)
-    _emit(summary, out)
-    return 0
+    return 0, summary, {
+        "section.id": rec.section_saturated,
+        "gorenstein.id": rec.gorenstein,
+        "residual.id": rec.residual,
+    }
 
 
 # ---------------------------------------------------------------- genbr
 
 
-def _cmd_genbr(args) -> int:
-    out = _out_dir(args)
+def _cmd_genbr(args) -> Result:
     IG = read_ideal(args.gorenstein)
     if len(args.ci) != 3:
         raise ValueError("--ci needs exactly three degrees")
-    print(f"// seed = {args.seed}")
-    rng = Rng(args.seed)
-    run = generalized_br_run(IG, tuple(args.ci), args.d, rng)
+    run = generalized_br_run(IG, tuple(args.ci), args.d, _seeded(args))
     if args.l is not None and run.spec.ell != args.l:
-        print(
-            f"forge genbr: the base resolution gives l = {run.spec.ell},"
-            f" not {args.l}",
-            file=sys.stderr,
-        )
-        return 2
+        raise ConstructionError(f"the base resolution gives l = {run.spec.ell}, not {args.l}")
     rep = run.report
     _print_hilbert_blocks(rep)
     summary = {
-        "command": "genbr",
-        "seed": args.seed,
         "characteristic": IG.ring.p,
         "n": IG.ring.n,
         "ci": list(run.spec.ci_degrees),
@@ -519,7 +466,7 @@ def _cmd_genbr(args) -> int:
         "d": run.spec.d,
         "alpha": run.spec.alpha,
         "b": run.spec.b,
-        "aci_type": list(run.aci_type),
+        "aci_type": list(run.spec.aci_type),
         "degree": rep.degree,
         "h_vector": list(rep.second_series),
         "betti": run.betti.lines(),
@@ -531,13 +478,12 @@ def _cmd_genbr(args) -> int:
         ),
         "generators": _gens_strings(run.section_top),
     }
-    if out is not None:
-        write_ideal(out / "ci.id", run.ci)
-        write_ideal(out / "linked.id", run.linked)
-        write_ideal(out / "section.id", run.section.ideal)
-        write_ideal(out / "top.id", run.section_top)
-    _emit(summary, out)
-    return 0 if run.shape_matches else 2
+    return (0 if run.shape_matches else 2), summary, {
+        "ci.id": run.ci,
+        "linked.id": run.linked,
+        "section.id": run.section.ideal,
+        "top.id": run.section_top,
+    }
 
 
 # ---------------------------------------------------------------- parser
@@ -629,8 +575,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        out = None if args.out is None else Path(args.out)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
         with recording(_print_note if args.protocol else None):
-            return args.fn(args)
+            return _finish(args, out, *args.fn(args))
     except ConstructionError as exc:
         print(f"forge {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -45,23 +45,21 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
-def _parse_ring(line: str) -> PolyRing:
+def _parse_ring(line: str, want: Optional[PolyRing]) -> PolyRing:
     parts = line.split()
     if len(parts) != 3 or parts[0] != "ring":
         raise ValueError(f"expected 'ring <p> <n>', got {line!r}")
-    return PolyRing(int(parts[1]), int(parts[2]))
+    ring = PolyRing(int(parts[1]), int(parts[2]))
+    if want is not None and want != ring:
+        raise ValueError(f"file ring {ring!r} does not match the requested {want!r}")
+    return ring
 
 
 def read_ideal(path: str | Path, ring: Optional[PolyRing] = None) -> Ideal:
     lines = _content_lines(Path(path).read_text())
     if not lines:
         raise ValueError("empty ideal file")
-    file_ring = _parse_ring(lines[0])
-    if ring is not None and ring != file_ring:
-        raise ValueError(
-            f"file ring {file_ring!r} does not match the requested {ring!r}"
-        )
-    ring = file_ring
+    ring = _parse_ring(lines[0], ring)
     return Ideal(ring, [ring.parse(line) for line in lines[1:]])
 
 
@@ -79,12 +77,7 @@ def read_matrix(path: str | Path, ring: Optional[PolyRing] = None) -> GradedMatr
     lines = _content_lines(Path(path).read_text())
     if len(lines) < 4:
         raise ValueError("matrix file needs ring, matrix, rowtwists, coltwists lines")
-    file_ring = _parse_ring(lines[0])
-    if ring is not None and ring != file_ring:
-        raise ValueError(
-            f"file ring {file_ring!r} does not match the requested {ring!r}"
-        )
-    ring = file_ring
+    ring = _parse_ring(lines[0], ring)
     mparts = lines[1].split()
     if len(mparts) != 3 or mparts[0] != "matrix":
         raise ValueError(f"expected 'matrix <rows> <cols>', got {lines[1]!r}")

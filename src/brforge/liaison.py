@@ -159,7 +159,6 @@ class GenBRRun:
     ci: Ideal
     linked: Ideal
     linked_betti: BettiTable
-    generator_row: GradedMatrix
     section: SectionResult
     section_top: Ideal
     report: HilbertReport
@@ -167,13 +166,6 @@ class GenBRRun:
     spec: GenBRSpec
     shape: BettiTable
     ghost_cancellations: Optional[dict]
-
-    @property
-    def aci_type(self) -> tuple[int, ...]:
-        d = self.spec.d
-        return tuple(
-            sorted([d - dk for dk in self.spec.ci_degrees] + [self.spec.b - d])
-        )
 
     @property
     def shape_matches(self) -> bool:
@@ -204,12 +196,6 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
     linked = ideal_quotient(ci, IG)
     res_v = free_resolution(linked)
     note(f"linked ideal has {len(linked.gens)} minimal generators")
-    phi = GradedMatrix(
-        ring,
-        [list(linked.gens)],
-        (0,),
-        tuple(g.degree() for g in linked.gens),
-    )
     B = res_v.matrices[0]
     spec = GenBRSpec(
         e1=tuple(e1),
@@ -232,10 +218,9 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
     res_x = free_resolution(top)
     betti = res_x.betti()
     gen_degrees = tuple(sorted(res_x.twists[0]))
-    expected_type = tuple(sorted([d - dk for dk in ci_degrees] + [spec.b - d]))
-    if gen_degrees != expected_type:
+    if gen_degrees != spec.aci_type:
         raise InvariantError(
-            f"not an almost complete intersection of type {expected_type}:"
+            f"not an almost complete intersection of type {spec.aci_type}:"
             f" generators sit in degrees {gen_degrees}"
         )
     shape = expected_resolution_aci(spec)
@@ -252,7 +237,6 @@ def generalized_br_run(IG: Ideal, ci_degrees: Sequence[int], d: int, rng: Rng) -
         ci=ci,
         linked=linked,
         linked_betti=res_v.betti(),
-        generator_row=phi,
         section=sec,
         section_top=top,
         report=top.hilbert(),

@@ -643,6 +643,67 @@ class TestGenBr:
         assert code == 1
 
 
+OUT_CASES = {
+    "br": (
+        ["br", "--t", "1", "--r", "3", "--entry-deg", "1", "--sec-deg", "2", "--n", "3", "--seed", "11"],
+        {"matrix.mat", "kernel.mat", "section.id", "top.id"},
+    ),
+    "section": (
+        ["section", "--matrix", fixture("koszul_p3.mat"), "--deg", "1", "--seed", "1"],
+        {"section.id"},
+    ),
+    "top": (["top", "--ideal", fixture("points5.id"), "--seed", "1"], {"top.id"}),
+    "hilb": (["hilb", "--ideal", fixture("points5.id")], set()),
+    "res": (["res", "--ideal", fixture("points5.id"), "--minimal"], set()),
+    "minors": (
+        ["minors", "--matrix", fixture("standard_det_2x4.mat"), "--size", "2"],
+        {"minors.id"},
+    ),
+    "pfaffians": (["pfaffians", "--matrix", fixture("skew5.mat")], {"pfaffians.id"}),
+    "predict": (["predict", "--spec", fixture("predict_kernel.cfg")], set()),
+    "link": (
+        ["link", "--phi", fixture("linear_row_p5.mat"), "--ideal", fixture("veronese.id"),
+         "--deg", "0", "--seed", "5"],
+        {"section.id", "gorenstein.id", "residual.id"},
+    ),
+    "genbr": (
+        ["genbr", "--gorenstein", fixture("points5.id"), "--ci", "3,3,3", "--d", "6", "--seed", "11"],
+        {"ci.id", "linked.id", "section.id", "top.id"},
+    ),
+}
+
+
+class TestOutDirectory:
+    """Every subcommand's --out DIR holds summary.json, equal to the printed
+    summary, and exactly the objects the subcommand names."""
+
+    @pytest.mark.parametrize("command", sorted(OUT_CASES))
+    def test_named_files_and_summary(self, capsys, tmp_path, command):
+        argv, names = OUT_CASES[command]
+        out_dir = tmp_path / "out"
+        code, out, err = run(argv + ["--out", str(out_dir)], capsys)
+        assert (code, err) == (0, "")
+        assert {path.name for path in out_dir.iterdir()} == names | {"summary.json"}
+        saved = json.loads((out_dir / "summary.json").read_text())
+        assert saved == json.loads(out.splitlines()[-1])
+        assert saved["command"] == command
+        assert ("seed" in saved) == ("--seed" in argv)
+        for name in names:
+            read = read_matrix if name.endswith(".mat") else read_ideal
+            read(out_dir / name)
+
+    @pytest.mark.parametrize("command", ["br", "hilb"])
+    def test_unusable_out_path_exits_1_in_one_line(self, capsys, tmp_path, command):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        argv, _ = OUT_CASES[command]
+        code, out, err = run(argv + ["--out", str(blocker)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"forge {command}: ") and err.count("\n") == 1
+        assert blocker.read_text() == "kept\n"
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, _ = run(["conjure"], capsys)

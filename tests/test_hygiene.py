@@ -31,6 +31,10 @@ os.getenv), so no engine switch can hide in an environment variable.
 Only ring, which defines the Rng, and poly, whose PolyRing.random_form and
 sparse_form draw every random form, call an Rng's below, bit or next64, so
 the draw protocol of a seeded run is the one those two methods document.
+
+The command line has one emitter: in cli, only _finish names json.dumps,
+write_ideal or write_matrix, so every subcommand's summary line and --out
+files are written in one place.
 """
 
 import ast
@@ -353,3 +357,45 @@ def test_scan_flags_rng_draws():
         "y = below_bound(3)  # rng.bit()\n"
     )
     assert rng_draws(source) == ["below (line 1)", "bit (line 2)", "next64 (line 3)"]
+
+
+EMITTERS = {"dumps", "write_ideal", "write_matrix"}
+
+
+def emitter_faults(source: str) -> list[str]:
+    tree = ast.parse(source)
+    inside = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_finish"
+        for inner in ast.walk(node)
+    }
+    faults = []
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in EMITTERS and id(node) not in inside:
+            faults.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(faults)]
+
+
+def test_only_the_cli_emitter_writes():
+    assert emitter_faults((SRC / "cli.py").read_text()) == []
+
+
+def test_scan_flags_emitting_outside_finish():
+    source = (
+        "import json\n"
+        "from .io import write_ideal, write_matrix\n"
+        "def _finish(args, out, code, summary, files):\n"
+        "    (write_ideal if files else write_matrix)(out, files)\n"
+        "    print(json.dumps(summary))\n"
+        "def _cmd_top(args):\n"
+        "    write_ideal(args.out, args.ideal)\n"
+        "    save = write_matrix\n"
+        "    return 0, {'line': json.dumps({})}, {}\n"
+    )
+    assert emitter_faults(source) == [
+        "write_ideal (line 7)",
+        "write_matrix (line 8)",
+        "dumps (line 9)",
+    ]

@@ -177,7 +177,7 @@ class TestGeneralizedRun:
         assert run.spec.ell == -1
         assert run.spec.alpha == 9
         assert run.spec.b == 8
-        assert run.aci_type == (2, 3, 3, 3)
+        assert run.spec.aci_type == (2, 3, 3, 3)
         assert run.section.regular
         assert run.section.degree == 6
         assert oracles.step_dicts(run.shape) == [{2: 1, 3: 3}, {5: 8, 6: 1}, {5: 1, 6: 5}]
