@@ -169,7 +169,6 @@ def _cmd_br(args) -> Result:
         entry_degree=entry_degree,
         section_degree=args.sec_deg,
         n=n,
-        characteristic=char,
         seed=args.seed,
     )
     run = kernel_section_run(ring, spec, _seeded(args), matrix=matrix)

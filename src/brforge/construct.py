@@ -64,7 +64,6 @@ class ConstructionSpec:
     entry_degree: int
     section_degree: int
     n: int
-    characteristic: int = 32003
     seed: int = 0
 
     def __post_init__(self):

@@ -220,13 +220,14 @@ class ModuleGB:
 
     The chain criterion always runs (see the module docstring): in a
     tracked basis with strictly smaller sub-lcms only, in an untracked one
-    with the treated-pair rule as well.  The product criterion
-    (use_product) is only sound for rank-one modules, and is allowed in
-    term over position only.  Both may run in tracked mode: a chain-dropped
-    pair's syzygy is a monomial combination of the two sub-pairs' syzygies,
-    so the emitted set still generates; a product-dropped pair loses its
-    Koszul syzygy, whose value the caller must compensate (for quotient and
-    intersection passes it lies in an ideal the caller already knows).
+    with the treated-pair rule as well; a chain-dropped pair's syzygy is a
+    monomial combination of the two sub-pairs' syzygies, so a tracked pass
+    still emits a generating set.  The product criterion (use_product) runs
+    in untracked rank-one bases in term over position only.  Coprime leads
+    make an S-pair reduce to zero for polynomials alone, not for vectors of
+    a higher rank, and the lcm of two term-over-position leads of component
+    0 is their sum exactly when they are coprime.  A tracked basis would
+    lose the pair's Koszul syzygy, so it reduces the pair instead.
     """
 
     def __init__(
@@ -235,13 +236,10 @@ class ModuleGB:
         twists: Sequence[int],
         *,
         track: bool = False,
-        use_product: bool = False,
         shift: int = 0,
         value_shift: int = 0,
     ):
         self.twists = tuple(twists)
-        if use_product and (len(self.twists) > 1 or shift):
-            raise ValueError("product criterion needs rank one, term over position")
         if len(self.twists) > MAX_RANK:
             raise ValueError(f"rank above {MAX_RANK}")
         self.p = p
@@ -255,7 +253,7 @@ class ModuleGB:
         self.pairs: list[tuple[int, int, int]] = []
         self.block: list[int] = []
         self.emitted: list[Vec] = []
-        self.use_product = use_product
+        self.use_product = not track and len(self.twists) == 1 and not shift
         # untracked: the pairs popped in the degree last popped (see _covered)
         self._treated: Optional[set[tuple[int, int]]] = None if track else set()
         self._treated_degree = -1
@@ -472,11 +470,7 @@ def _add_multiple(vec: Vec, factor: int, shift: int, src: Optional[Vec]) -> None
 
 
 def incremental_basis(
-    vecs: Sequence[Vec],
-    p: int,
-    twists: Sequence[int],
-    seed: Sequence[Vec] = (),
-    counts: Optional[dict[int, int]] = None,
+    vecs: Sequence[Vec], p: int, twists: Sequence[int], seed: Sequence[Vec] = ()
 ) -> tuple[list[int], ModuleGB]:
     """Kept indices and basis of one incremental build over the nonzero
     vecs, taken in (degree, index) order after the seed (a Groebner basis,
@@ -484,27 +478,16 @@ def incremental_basis(
     through d; the vector is kept when its normal form is nonzero, and that
     remainder joins the basis.  Rank one runs the product criterion.  The
     basis is complete through the last degree tested; complete() it to go on.
-
-    counts, when given, is how many vectors the build keeps per degree
-    without it (see ideals.Ideal.minimal_generators); the vectors of a
-    degree are then tested only until its count is reached, so the same
-    indices are kept with fewer reductions.
     """
-    inc = ModuleGB(p, twists, use_product=len(twists) == 1)
+    inc = ModuleGB(p, twists)
     for v in seed:
         inc.add(dict(v), block=0)
     degrees = {i: vec_degree(v, twists) for i, v in enumerate(vecs) if v}
-    left = None if counts is None else dict(counts)
     kept: list[int] = []
     for i in sorted(degrees, key=lambda i: (degrees[i], i)):
-        d = degrees[i]
-        if left is not None and not left.get(d):
-            continue
-        inc.complete_to(d)
+        inc.complete_to(degrees[i])
         if inc.add_remainder(dict(vecs[i])):
             kept.append(i)
-            if left is not None:
-                left[d] -= 1
     return kept, inc
 
 
@@ -675,7 +658,7 @@ def regular_sequence_basis(vecs: Sequence[Vec], p: int, nvars: int) -> Optional[
     if len(vecs) > nvars or 0 in degrees:
         return None
     floor = complete_intersection_numerator(degrees)
-    gb = ModuleGB(p, (0,), use_product=True)
+    gb = ModuleGB(p, (0,))
     pairs = gb.pairs
     waiting = sorted(range(len(vecs)), key=lambda i: (degrees[i], i), reverse=True)
     while waiting or pairs:

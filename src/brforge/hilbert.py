@@ -30,7 +30,6 @@ __all__ = [
     "hilbert_numerator",
     "hilbert_report",
     "hilbert_function_values",
-    "numerator_report",
 ]
 
 # the key of z_i, the same in every ring
@@ -175,16 +174,11 @@ def _binomial(x: int, k: int) -> int:
 
 
 def hilbert_report(I: Ideal) -> HilbertReport:
-    """The report of R/I from the lead keys of I's reduced Groebner basis."""
+    """The report of R/I from the lead keys of I's reduced Groebner basis,
+    by the first numerator q of its Hilbert series.  The unit ideal, q = 0,
+    has affine dimension -1."""
     nvars = I.ring.nvars
     q = hilbert_numerator([g.terms[0][0] for g in I.groebner()], nvars)
-    return numerator_report(I.ring.p, nvars, q)
-
-
-def numerator_report(p: int, nvars: int, q: Sequence[int]) -> HilbertReport:
-    """The report of R/I, R of characteristic p in nvars variables, from the
-    first numerator q of its Hilbert series.  The unit ideal, q = 0, has
-    affine dimension -1."""
     h = list(q)
     dim = nvars if q else -1
     while h and sum(h) == 0:  # Q(1) = 0: divide exactly by (1 - t)
@@ -199,7 +193,7 @@ def numerator_report(p: int, nvars: int, q: Sequence[int]) -> HilbertReport:
         hp0 = sum(hi * _binomial(dim - 1 - i, dim - 1) for i, hi in enumerate(h))
         genus = (-1) ** (dim - 1) * (hp0 - 1)
     return HilbertReport(
-        characteristic=p,
+        characteristic=I.ring.p,
         nvars=nvars,
         first_series=tuple(q),
         second_series=tuple(h),

@@ -2,10 +2,8 @@
 saturation, and extraction of the top-dimensional part.
 
 Every numerical invariant of an ideal, its dimension included, comes from
-one Hilbert report, computed once per ideal and cached on it
-(Ideal.hilbert): from the lead keys of its reduced basis
-(hilbert.hilbert_report), or, for the ideal of a regular sequence, from the
-degrees of its forms (regular_sequence).
+one Hilbert report, computed once per ideal from the lead keys of its
+reduced basis and cached on it (Ideal.hilbert).
 
 Quotients and intersections run as value-tracked syzygy passes on seeded
 modules instead of elimination: the seeds are Groebner bases whose internal
@@ -15,7 +13,6 @@ by a linear form or by a variable, take one basis with the form moved last.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Optional, Sequence
 
 from .engine import (
@@ -25,14 +22,8 @@ from .engine import (
     incremental_basis,
     regular_sequence_basis,
     tracked_intersection,
-    vec_degree,
 )
-from .hilbert import (
-    HilbertReport,
-    complete_intersection_numerator,
-    hilbert_report,
-    numerator_report,
-)
+from .hilbert import HilbertReport, hilbert_report
 from .poly import Polynomial, PolyRing
 from .protocol import note, recording
 from .ring import Rng
@@ -69,7 +60,7 @@ def vec_to_poly(ring: PolyRing, vec: Vec) -> Polynomial:
 class Ideal:
     """Homogeneous ideal given by generators; zero generators are dropped."""
 
-    __slots__ = ("ring", "gens", "_gb", "_gb_engine", "_counts", "_report")
+    __slots__ = ("ring", "gens", "_gb", "_gb_engine", "_report")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         kept = []
@@ -85,7 +76,6 @@ class Ideal:
         self.gens = tuple(kept)
         self._gb: Optional[tuple[Polynomial, ...]] = None
         self._gb_engine: Optional[ModuleGB] = None
-        self._counts: Optional[Counter] = None
         self._report: Optional[HilbertReport] = None
 
     def is_zero(self) -> bool:
@@ -101,12 +91,9 @@ class Ideal:
 
     def _engine(self) -> ModuleGB:
         """A completed rank-one basis engine for membership queries, grown
-        over the generators by incremental_basis; the generators it keeps
-        count the minimal generators per degree."""
+        over the generators by incremental_basis."""
         if self._gb_engine is None:
-            _, self._gb_engine, self._counts = _grow(
-                self.ring, [poly_to_vec(g) for g in self.gens]
-            )
+            self._gb_engine = _grow(self.ring, [poly_to_vec(g) for g in self.gens])[1]
         return self._gb_engine
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -143,47 +130,34 @@ class Ideal:
         Pruned in (degree, index) order, any generating set keeps
         dim (I/mI)_d members of degree d, m the irrelevant ideal (graded
         Nakayama: those kept below d generate I below d, hence (mI)_d, and
-        those kept in d extend a basis of (mI)_d to one of I_d).  The build
-        of the ideal's basis counted them, so the basis members of a degree
-        are reduced only until its count is reached, and no degree past the
-        last one lacking a generator is completed.
+        those kept in d extend a basis of (mI)_d to one of I_d).  The ideal
+        is generated in degrees up to its generators' top, and the basis
+        members up to a degree generate I up to it, so only those members
+        are pruned: none above the top is minimal.
         """
-        gb = self.groebner()
-        self._engine()  # its build counted the minimal generators
-        if self._counts is None:
-            # a seeded build (linear_saturation) counted nothing; the ideal
-            # is generated in degrees up to its generators' top, so no basis
-            # member above it is minimal
-            top = max((g.degree() for g in self.gens), default=-1)
-            gb = tuple(g for g in gb if g.degree() <= top)
-        keep, _ = incremental_basis(
-            [poly_to_vec(g) for g in gb], self.ring.p, (0,), counts=self._counts
-        )
-        if self._counts is None:
-            self._counts = Counter(gb[i].degree() for i in keep)
-        elif len(keep) != sum(self._counts.values()):
-            raise InvariantError("minimal generator count differs between two presentations")
+        top = max((g.degree() for g in self.gens), default=-1)
+        gb = tuple(g for g in self.groebner() if g.degree() <= top)
+        keep, _ = incremental_basis([poly_to_vec(g) for g in gb], self.ring.p, (0,))
         return tuple(gb[i] for i in keep)
 
     def __repr__(self) -> str:
         return f"Ideal({len(self.gens)} gens over {self.ring!r})"
 
 
-def _grow(ring: PolyRing, vecs: Sequence[Vec]) -> tuple[list[int], ModuleGB, Counter]:
+def _grow(ring: PolyRing, vecs: Sequence[Vec]) -> tuple[list[int], ModuleGB]:
     """incremental_basis over vectors of component 0, completed: the kept
-    indices, the basis of the ideal they generate, and the kept count per
-    degree (the ideal's minimal generator count per degree)."""
+    indices and the basis of the ideal they generate."""
     kept, gb = incremental_basis(vecs, ring.p, (0,))
     gb.complete()
-    return kept, gb, Counter(vec_degree(vecs[i], (0,)) for i in kept)
+    return kept, gb
 
 
 def _pruned(ring: PolyRing, vecs: Sequence[Vec]) -> Ideal:
     """The ideal the vectors generate, on the ones incremental_basis keeps,
     with the basis grown while pruning them as its own."""
-    kept, gb, counts = _grow(ring, vecs)
+    kept, gb = _grow(ring, vecs)
     out = Ideal(ring, [vec_to_poly(ring, vecs[i]) for i in kept])
-    out._gb_engine, out._counts = gb, counts
+    out._gb_engine = gb
     return out
 
 
@@ -207,11 +181,9 @@ def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     """(I : (targets)) via one tracked pass on the essential targets: the
     module generated by I x R^m together with the single column (targets),
     tracking the scalar cofactor of that column.  Zero reductions emit
-    elements of the quotient; the unit ideal needs no pass.
-
-    Rank one additionally runs the product criterion; the Koszul syzygies it
-    skips have cofactors inside I, which I's own generators (always part of
-    the quotient) cover.  The result is presented canonically
+    elements of the quotient, and together they generate it; the unit ideal
+    needs no pass.  The pass is tracked, so even a single target runs no
+    product criterion (see ModuleGB).  The result is presented canonically
     (Ideal.minimal_generators), so it does not depend on the pass; the
     basis grown while pruning the candidates becomes the result's basis."""
     ring = I.ring
@@ -222,7 +194,7 @@ def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     m = len(targets)
     maxdeg = max(g.degree() for g in targets)
     twists = tuple(maxdeg - g.degree() for g in targets)
-    gb = ModuleGB(p, twists, track=True, use_product=(m == 1))
+    gb = ModuleGB(p, twists, track=True)
     for f in I.groebner():
         for comp in range(m):
             gb.add(poly_to_vec(f, comp), {}, block=comp)
@@ -232,15 +204,13 @@ def _seeded_quotient(I: Ideal, targets: Sequence[Polynomial]) -> Ideal:
     gb.add(target_vec, {0: 1})  # tracks the scalar cofactor 1 of the targets
     gb.complete()
     note(f"quotient pass emitted {len(gb.emitted)} candidates")
-    vals = [poly_to_vec(f) for f in I.gens] if m == 1 else []
-    vals.extend(gb.emitted)
-    return _canonical(_pruned(ring, vals))
+    return _canonical(_pruned(ring, gb.emitted))
 
 
 def _canonical(Q: Ideal) -> Ideal:
     """Q on its canonical minimal generators, carrying Q's basis."""
     out = Ideal(Q.ring, Q.minimal_generators())
-    out._gb, out._gb_engine, out._counts = Q._gb, Q._gb_engine, Q._counts
+    out._gb, out._gb_engine = Q._gb, Q._gb_engine
     return out
 
 
@@ -352,18 +322,14 @@ def regular_sequence(ring: PolyRing, forms: Sequence[Polynomial]) -> Optional[Id
     Its basis is built against the Hilbert function of a complete
     intersection of the forms' degrees (engine.regular_sequence_basis), so
     the pairs of a degree are dropped unreduced once the target is met.  The
-    returned ideal carries that basis, its minimal generator counts (every
-    member of a regular sequence is a minimal generator) and its Hilbert
-    report, whose numerator is prod (1 - t^{d_i})."""
+    returned ideal carries that basis."""
     if any(f.is_zero() for f in forms):
         return None
     gb = regular_sequence_basis([poly_to_vec(f) for f in forms], ring.p, ring.nvars)
     if gb is None:
         return None
-    degrees = [f.degree() for f in forms]
     out = Ideal(ring, forms)
-    out._gb_engine, out._counts = gb, Counter(degrees)
-    out._report = numerator_report(ring.p, ring.nvars, complete_intersection_numerator(degrees))
+    out._gb_engine = gb
     return out
 
 

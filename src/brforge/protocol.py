@@ -8,7 +8,7 @@ globally.  The sink is held in a ContextVar and every block restores
 the sink it found, also when it exits by an exception, so one recording
 cannot leak into later calls.
 
-Three call sites run inside recording(None) on purpose.  Each is an inner
+Four call sites run inside recording(None) on purpose.  Each is an inner
 pass of a step that reports its own summary line, and its notes would bury
 that line under pass sizes:
 - the codimension check of a construction (check_expected_codim) takes
@@ -19,7 +19,9 @@ that line under pass sizes:
   saturated by a linear form ..." line instead, or, when that route does
   not apply, a "... cutting instead" line before the cut's);
 - saturation takes one saturation by each variable and intersects the
-  results, and reports only "saturation by ..." and "saturation: ...".
+  results, and reports only "saturation by ..." and "saturation: ...";
+- Resolution.minimize resolves the kept generators again and reports only
+  "minimization cancelled ... unit pairs".
 The --protocol text of the commands is pinned byte for byte by the cases
 in tests/golden.
 """

@@ -665,20 +665,14 @@ def cancel_units(res: Resolution) -> tuple[Resolution, int]:
 
 def unpruned_quotient(I, targets: Sequence) -> Ideal:
     """(I : (targets)) as ideal_quotient computed it before the targets were
-    pruned: one tracked pass on every nonzero target, rank one (with the
-    product criterion) only when there is a single target, and the emitted
+    pruned: one tracked pass on every nonzero target, and the emitted
     cofactors pruned to a minimal generating subset."""
     ring = I.ring
     p = ring.p
     targets = [g for g in targets if not g.is_zero()]
     m = len(targets)
     maxdeg = max(g.degree() for g in targets)
-    gb = ModuleGB(
-        p,
-        tuple(maxdeg - g.degree() for g in targets),
-        track=True,
-        use_product=(m == 1),
-    )
+    gb = ModuleGB(p, tuple(maxdeg - g.degree() for g in targets), track=True)
     for f in I.groebner():
         for comp in range(m):
             gb.add(poly_to_vec(f, comp), {}, block=comp)
@@ -687,8 +681,7 @@ def unpruned_quotient(I, targets: Sequence) -> Ideal:
         target_vec.update(poly_to_vec(g, comp))
     gb.add(target_vec, {0: 1})
     gb.complete()
-    vals = [poly_to_vec(f) for f in I.gens] if m == 1 else []
-    vals.extend(v for v in gb.emitted if v)
+    vals = gb.emitted
     keep = minimal_generating_subset(vals, p, (0,))
     return Ideal(ring, [vec_to_poly(ring, vals[i]) for i in keep])
 
@@ -776,7 +769,7 @@ def complete_intersection_cut(IG: Ideal, degrees: Sequence[int], rng):
 def batch_groebner(I: Ideal) -> tuple:
     """I's reduced Groebner basis by the batch route: every generator added
     unreduced, all pairs queued at once, then one completion."""
-    gb = ModuleGB(I.ring.p, (0,), use_product=True)
+    gb = ModuleGB(I.ring.p, (0,))
     for g in I.gens:
         gb.add(poly_to_vec(g))
     gb.complete()
@@ -785,8 +778,8 @@ def batch_groebner(I: Ideal) -> tuple:
 
 def canonical_generators(I: Ideal) -> tuple:
     """The members of I's reduced Groebner basis that the full pruning
-    keeps: each one, in ascending order, tested against a chain-criterion
-    basis of those kept before it, completed through its degree."""
+    keeps: each one, in ascending order, tested against a basis of those
+    kept before it, completed through its degree."""
     basis = batch_groebner(I)
     inc = ModuleGB(I.ring.p, (0,))
     kept = []
@@ -850,16 +843,16 @@ class EagerModuleGB:
     one reduced.  Pair queue and tracking are those of ModuleGB, and so are
     the criteria of a tracked basis, so on the same tracked calls both must
     give equal bases, remainders, values and emitted relations.  In an
-    untracked basis it keeps the strict chain criterion, without the
-    treated-pair rule, so there the two agree on what depends on the ideal
-    alone: reduced bases and normal forms through a completed degree.  `recreated` counts the terms that cancelled to zero
-    inside one reduction and were created again later in it."""
+    untracked basis it keeps the strict chain criterion unless `treated`
+    turns on ModuleGB's treated-pair rule: with the rule every result must
+    agree, without it only what depends on the ideal alone, reduced bases
+    and normal forms through a completed degree.  `recreated` counts the
+    terms that cancelled to zero inside one reduction and were created
+    again later in it."""
 
     def __init__(self, p, twists, *, track=False, use_product=False, use_chain=False,
-                 shift=0, value_shift=0):
+                 treated=False, shift=0, value_shift=0):
         self.twists = tuple(twists)
-        if use_product and (len(self.twists) > 1 or shift):
-            raise ValueError("product criterion needs rank one, term over position")
         self.p = p
         self.track = track
         self.shift = shift
@@ -872,6 +865,9 @@ class EagerModuleGB:
         self.emitted: list[dict] = []
         self.use_product = use_product
         self.use_chain = use_chain
+        # the pairs popped in the degree last popped, when the rule is on
+        self.treated: Optional[set] = set() if treated else None
+        self.treated_degree = -1
         self.recreated = 0
 
     def add(self, vec, value=None, block=-1):
@@ -968,17 +964,19 @@ class EagerModuleGB:
         gj = self.elts[j]
         shift = self.shift
         lcm = key_lcm(gi.lead, gj.lead, shift)
+        if self.treated is not None:
+            if d != self.treated_degree:
+                self.treated.clear()
+                self.treated_degree = d
+            self.treated.add((i, j))
         if self.use_product and lcm == gi.lead + gj.lead:
             return
         if self.use_chain:
-            for gk in self.by_comp.get(gi.comp, ()):
-                if gk is gi or gk is gj:
+            for k, gk in enumerate(self.elts):
+                if k in (i, j) or gk.comp != gi.comp or not key_divides(gk.lead, lcm, shift):
                     continue
-                if key_divides(gk.lead, lcm, shift):
-                    lik = key_lcm(gi.lead, gk.lead, shift)
-                    ljk = key_lcm(gj.lead, gk.lead, shift)
-                    if lik != lcm and ljk != lcm:
-                        return
+                if self._sub_pair_below(i, k, lcm) and self._sub_pair_below(j, k, lcm):
+                    return
         p = self.p
         si = lcm - gi.lead
         sj = lcm - gj.lead
@@ -1003,6 +1001,17 @@ class EagerModuleGB:
             if remval is not None:
                 remval = _eager_scale(remval, inv, p)
         self._append(_EagerElt(rem, remval, lead), -1)
+
+    def _sub_pair_below(self, a, k, lcm):
+        """Whether the sub-pair (a, k) has a representation below its lcm:
+        that lcm is a proper divisor of lcm, or, under the treated-pair
+        rule, the sub-pair was popped or lies inside one seeded block."""
+        if key_lcm(self.elts[a].lead, self.elts[k].lead, self.shift) != lcm:
+            return True
+        if self.treated is None:
+            return False
+        a, k = sorted((a, k))
+        return (a, k) in self.treated or self.block[a] == self.block[k] >= 0
 
     def complete_to(self, degree):
         while self.pairs and self.pairs[0][0] <= degree:

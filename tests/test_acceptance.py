@@ -86,7 +86,7 @@ def test_03_linear_kernel_sections_on_p6():
 
 def test_04_quadratic_kernel_section_char_23():
     ring = PolyRing(23, 6)
-    spec = ConstructionSpec(1, 3, 2, 3, 6, characteristic=23, seed=2)
+    spec = ConstructionSpec(1, 3, 2, 3, 6, seed=2)
     run = kernel_section_run(ring, spec, Rng(2))
     rep = hilbert_report(run.gorenstein)
     assert rep.degree == 13
@@ -219,7 +219,7 @@ def test_10a_s_vectors_of_completed_bases_reduce_to_zero():
     for s in range(100):
         ring = P2 if s % 2 else P3
         I = random_ideal(ring, Rng(5000 + s), 2 + s % 2, 2)
-        gb = ModuleGB(32003, (0,), use_product=True)
+        gb = ModuleGB(32003, (0,))
         for g in I.gens:
             gb.add(poly_to_vec(g))
         gb.complete()

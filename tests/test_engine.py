@@ -48,7 +48,7 @@ def vec_of(ring, text, comp=0):
 class TestCompletion:
     def test_twisted_cubic_buchberger(self, ring3):
         gens = ["z1^2-z0*z2", "z1*z2-z0*z3", "z2^2-z1*z3"]
-        gb = ModuleGB(32003, (0,), use_product=True)
+        gb = ModuleGB(32003, (0,))
         for g in gens:
             gb.add(vec_of(ring3, g))
         gb.complete()
@@ -83,8 +83,12 @@ class TestCompletion:
             gb.add({})
 
     def test_product_criterion_needs_rank_one(self):
-        with pytest.raises(ValueError):
-            ModuleGB(32003, (0, 0), use_product=True)
+        # untracked, rank one and term over position, and nowhere else
+        for track in (False, True):
+            for twists in ((0,), (0, 0)):
+                for shift in (0, COMP_BITS):
+                    gb = ModuleGB(32003, twists, track=track, shift=shift)
+                    assert gb.use_product == (not track and twists == (0,) and not shift)
 
 
 class TestTrackedSyzygies:
@@ -253,12 +257,16 @@ def _in_range(vec, p):
 
 
 def _run_both(rng, p, rank, shift, value_shift, frame, unit, track):
-    use_product = rank == 1 and shift == 0 and rng.below(2) == 1
-    rng.below(4)  # the draw that once chose the chain criterion keeps the stream
-    kwargs = dict(track=track, use_product=use_product, shift=shift, value_shift=value_shift)
+    # the draws that once chose the criteria keep the stream
+    if rank == 1 and shift == 0:
+        rng.below(2)
+    rng.below(4)
+    kwargs = dict(track=track, shift=shift, value_shift=value_shift)
     twists = [0] * rank if shift else [(0, 1, 0)[j] for j in range(rank)]
     lazy = ModuleGB(p, twists, **kwargs)
-    eager = oracles.EagerModuleGB(p, twists, use_chain=True, **kwargs)
+    eager = oracles.EagerModuleGB(
+        p, twists, use_product=lazy.use_product, use_chain=True, treated=not track, **kwargs
+    )
     vecs = []
     for _ in range(4 + rng.below(4)):
         vec = _random_vector(rng, p, frame, 2 + rng.below(2))
@@ -348,11 +356,12 @@ def _seed_blocks(rng, p, twists, shift, frame):
 
 
 def _untracked_run(rng, p, rank, shift, frame):
-    use_product = rank == 1 and shift == 0 and rng.below(2) == 1
+    if rank == 1 and shift == 0:
+        rng.below(2)  # the draw that once chose the product criterion keeps the stream
     twists = [0] * rank if shift else [(0, 1, 0)[j] for j in range(rank)]
-    kwargs = dict(use_product=use_product, shift=shift, value_shift=shift)
+    kwargs = dict(shift=shift, value_shift=shift)
     lazy = _CountedLazy(p, twists, **kwargs)
-    eager = _CountedEager(p, twists, use_chain=True, **kwargs)
+    eager = _CountedEager(p, twists, use_product=lazy.use_product, use_chain=True, **kwargs)
     for b, block in enumerate(_seed_blocks(rng, p, twists, shift, frame)):
         for vec in block:
             lazy.add(dict(vec), block=b)
@@ -486,7 +495,7 @@ class TestWorkCounts:
         # test_04's spec: quadratic entries, so the degeneracy locus is not
         # linear and the top part is the double quotient over a cut
         ring = PolyRing(23, 6)
-        spec = ConstructionSpec(1, 3, 2, 3, 6, characteristic=23, seed=2)
+        spec = ConstructionSpec(1, 3, 2, 3, 6, seed=2)
         counts, calls = self._run(monkeypatch, ring, spec, Rng(2))
         assert calls["cut"] == 1
         assert calls["quotient"] == 2

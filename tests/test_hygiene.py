@@ -5,8 +5,7 @@ by design and is skipped).  A name counts as used when the module reads it,
 names it in a quoted annotation, or lists it in __all__.
 
 Every import of a module sits at its top level, so the import graph is the
-one the module headers show and a lazy import cannot hide a cycle (the
-package __init__, which imports the command line on demand, is skipped).
+one the module headers show and a lazy import cannot hide a cycle.
 
 Progress goes through the protocol channel (brforge.protocol): no function
 takes a `log` callback, and only the command line module prints.
@@ -122,7 +121,7 @@ def nested_imports(source: str) -> list[str]:
     return sorted(set(faults))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert nested_imports(path.read_text()) == []
 

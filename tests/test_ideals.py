@@ -4,12 +4,12 @@ from collections import Counter
 
 import pytest
 
+import brforge.ideals
 from brforge.construct import ConstructionSpec, construction_matrix, kernel_section_run
 from brforge.engine import ModuleGB
 from brforge.ideals import (
     ConstructionError,
     Ideal,
-    InvariantError,
     _essential_targets,
     affine_dimension,
     draw_regular_sequence,
@@ -226,8 +226,8 @@ def _messy_generators(ring, rng):
 
 class TestOneBasisBuild:
     """Every ideal's basis is grown once, over its generators or over the
-    candidates of the pass that made it, and drives its canonical
-    generators by the minimal generator count per degree."""
+    candidates of the pass that made it, and its canonical generators are
+    pruned from the basis members up to its generators' top degree."""
 
     @staticmethod
     def _check(I):
@@ -237,8 +237,8 @@ class TestOneBasisBuild:
         assert mg == oracles.canonical_generators(I)
         top = max(g.degree() for g in I.gens) + 1
         dense = oracles.minimal_generator_counts(I.gens, ring.nvars, ring.p, top)
-        assert [I._counts[d] for d in range(top + 1)] == dense
-        assert Counter(g.degree() for g in mg) == I._counts
+        counts = Counter(g.degree() for g in mg)
+        assert [counts[d] for d in range(top + 1)] == dense
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("n", [2, 3])
@@ -267,8 +267,8 @@ class TestOneBasisBuild:
         [
             # only the three quadrics are reduced, no member of degree 3 or 4
             ([2, 2, 2], [2, 2, 2, 3, 3, 4], 3),
-            # the first cubic member is kept, so the second is not reduced
-            ([2, 2, 3], [2, 2, 3, 3, 4, 4, 5], 3),
+            # both cubic members are reduced, no member of degree 4 or 5
+            ([2, 2, 3], [2, 2, 3, 3, 4, 4, 5], 4),
         ],
     )
     def test_canonical_generators_reduce_only_lacking_degrees(
@@ -285,12 +285,6 @@ class TestOneBasisBuild:
         monkeypatch.setattr(ModuleGB, "add_remainder", counted)
         assert [g.degree() for g in I.minimal_generators()] == degrees
         assert len(calls) == reduced
-
-    def test_wrong_count_raises(self):
-        I = self._generic([2, 2, 2], [2, 2, 2, 3, 3, 4])
-        I._counts[3] += 1
-        with pytest.raises(InvariantError, match="minimal generator count"):
-            I.minimal_generators()
 
     def test_quotient_builds_each_basis_once(self, monkeypatch):
         """I's basis, the essential targets, the pass, the candidates (whose
@@ -589,6 +583,56 @@ class TestTopDimensionalPart:
         again = top_dimensional_part(top, 2, rng)
         assert again.equals(top)
 
+    def test_rejects_the_zero_ideal(self, ring3):
+        with pytest.raises(ValueError, match="zero ideal"):
+            top_dimensional_part(Ideal(ring3, []), 1, Rng(1))
+
+    @staticmethod
+    def _conic_and_point(ring3):
+        conic = Ideal(ring3, [ring3.parse("z3"), ring3.parse("z0*z1-z2^2")])
+        point = Ideal(ring3, [ring3.parse("z1"), ring3.parse("z2"), ring3.parse("z3-z0")])
+        return conic, ideal_intersection(conic, point)
+
+    @staticmethod
+    def _failing_draws(monkeypatch, failing):
+        """Make draw_regular_sequence fail at the degrees `failing` accepts;
+        the degrees asked for, in order."""
+        asked = []
+        draw = brforge.ideals.draw_regular_sequence
+
+        def drawn(I, degrees, rng, attempts):
+            asked.append(degrees[0])
+            return None if failing(degrees[0]) else draw(I, degrees, rng, attempts)
+
+        monkeypatch.setattr(brforge.ideals, "draw_regular_sequence", drawn)
+        return asked
+
+    def test_raises_the_degree_when_every_draw_degenerates(self, ring3, monkeypatch):
+        conic, I = self._conic_and_point(ring3)
+        dmax = max(g.degree() for g in I.gens)
+        asked = self._failing_draws(monkeypatch, lambda d: d == dmax)
+        lines = []
+        with recording(lines.append):
+            top = top_dimensional_part(I, 2, Rng(57))
+        assert top.equals(conic)
+        assert asked == [dmax, dmax + 1]
+        assert lines == [
+            f"top part: all draws at degree {dmax} degenerate, raising degree",
+            f"top part: cut with 2 forms of degree {dmax + 1} (attempt 1)",
+        ]
+
+    def test_refuses_after_two_escalations(self, ring3, monkeypatch):
+        _, I = self._conic_and_point(ring3)
+        dmax = max(g.degree() for g in I.gens)
+        asked = self._failing_draws(monkeypatch, lambda d: True)
+        lines = []
+        with recording(lines.append), pytest.raises(ConstructionError, match="after escalation"):
+            top_dimensional_part(I, 2, Rng(57))
+        assert asked == [dmax, dmax + 1, dmax + 2]
+        assert lines == [
+            f"top part: all draws at degree {d} degenerate, raising degree" for d in asked
+        ]
+
 
 def _routes(ring, spec, seed):
     """A kernel section's top part, the double quotient of its section
@@ -673,7 +717,7 @@ class TestLinearSaturation:
         ring = PolyRing(p, 3)
         routes = Counter()
         for seed in range(1, 21):
-            spec = ConstructionSpec(1, 3, 1, 2, 3, characteristic=p)
+            spec = ConstructionSpec(1, 3, 1, 2, 3)
             try:
                 top, cut, fell_back = _routes(ring, spec, seed)
             except ConstructionError:
